@@ -1,15 +1,20 @@
 //! Property tests for the interconnect latency math.
 //!
-//! Three families: metric properties of torus hop counts (symmetry,
+//! Four families: metric properties of torus hop counts (symmetry,
 //! identity, triangle inequality, diameter bound), monotonicity of the
 //! contention model (adding traffic never makes a later delivery
-//! *earlier*), and the Table-2 constants of `paper_default`.
+//! *earlier*), the Table-2 constants of `paper_default`, and the
+//! `fixed_overhead` latency floor the simulator's superphase margin
+//! rests on.
 
 use proptest::prelude::*;
 use sb_engine::Cycle;
 use sb_net::{
     MsgSize, Network, NetworkConfig, NodeId, PerturbationConfig, Topology, Torus, TrafficClass,
 };
+
+/// Every fabric `Topology::by_name` knows.
+const FABRICS: [&str; 3] = ["torus", "cmesh", "xtorus"];
 
 const SIZES: [MsgSize; 4] = [
     MsgSize::Small,
@@ -140,6 +145,50 @@ proptest! {
             let base = plain.send(t, src, dst, size, class_of(m.2));
             let pert = adv.send(t, src, dst, size, class_of(m.2));
             prop_assert!(pert >= base);
+        }
+    }
+
+    /// Every delivery arrives at least `fixed_overhead` cycles after its
+    /// send, on every fabric, for any link latency and fixed overhead,
+    /// with or without injection-port contention and the timing
+    /// adversary. This floor is what makes the simulator's A-phase
+    /// margin `fixed_overhead.max(1)` sound: no hub→core message sent at
+    /// or after the global minimum `G` can land before `G + margin`.
+    #[test]
+    fn every_delivery_pays_the_fixed_overhead(
+        tiles_log in 0u32..7,
+        fabric_pick in 0usize..3,
+        link_latency in 0u64..12,
+        fixed_overhead in 0u64..6,
+        contention in any::<bool>(),
+        seed in any::<u64>(),
+        msgs in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u64..4, 0u64..8), 1..120),
+    ) {
+        let tiles = 1u16 << tiles_log;
+        let mut cfg = NetworkConfig::paper_default(tiles);
+        cfg.topology = Topology::by_name(FABRICS[fabric_pick], tiles).expect("known fabric");
+        cfg.link_latency = link_latency;
+        cfg.fixed_overhead = fixed_overhead;
+        cfg.model_contention = contention;
+        // One case in two runs under the seeded timing adversary.
+        let mut net = if seed & 1 == 0 {
+            Network::new(cfg)
+        } else {
+            Network::with_perturbation(cfg, PerturbationConfig::from_seed(seed))
+        };
+        let mut now = Cycle::ZERO;
+        for (a, b, sz, gap) in msgs {
+            now += gap;
+            let src = NodeId((a % tiles as u64) as u16);
+            let dst = NodeId((b % tiles as u64) as u16);
+            let (arrive, info) = net.send_info(now, src, dst, SIZES[sz as usize], class_of(a));
+            prop_assert!(arrive >= now, "delivery cannot precede the send");
+            prop_assert!(
+                (arrive - now).as_u64() >= fixed_overhead,
+                "{src}->{dst} arrived after {} cycles, below fixed_overhead \
+                 {fixed_overhead} (info: {info:?})",
+                (arrive - now).as_u64(),
+            );
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Regenerates every table and figure of the ScalableBulk paper.
 //!
 //! ```text
-//! cargo run --release -p sb-sim --bin figures -- <id> [--insns N] [--seed S] [--jobs N] [--csv DIR] [--timing] [--attribution] [--trace-out PATH]
+//! cargo run --release -p sb-sim --bin figures -- <id> [--insns N] [--seed S] [--jobs N] [--csv DIR] [--attribution] [--trace-out PATH]
 //! cargo run --release -p sb-sim --bin figures -- all
-//! cargo run --release -p sb-sim --bin figures -- --timing
 //! ```
 //!
 //! `--jobs N` sets the worker-thread count for the independent runs
@@ -11,16 +10,9 @@
 //! fully serial). Output is byte-identical at any value — results merge
 //! in work-list order, not completion order.
 //!
-//! `--domains N|auto` additionally splits *each* simulation over N
-//! conservative-PDES domains (default 1: single-threaded machines).
-//! Like `--jobs`, this is pure wall-clock: every table is byte-identical
-//! at any domain count — the CI determinism step diffs `figures fig7`
-//! output at `--domains 1` vs `--domains 4` to enforce it.
-//!
-//! `--timing` appends a host-side simulator-throughput probe (events/sec,
-//! sim-cycles/sec per core count, per-phase wall times from the metrics
-//! registry, commit-latency percentiles) after the requested figures; it
-//! can also be used alone.
+//! Host-side simulator throughput is not measured here: use
+//! `profile --cores N --app A --proto P` for one configuration or
+//! `bench_json --cores 8,32,64 --protocols scalablebulk` for a grid.
 //!
 //! `--attribution` runs each Table-3 protocol with causal tracing on and
 //! prints (a) the Figure-7 cycle breakdown *reconstructed from the
@@ -40,8 +32,8 @@
 //! exact critical-path attribution) as canonical JSON — the input
 //! format of `analyze --diff`. `--series-window N` overrides the
 //! window width in simulated cycles (default: ~64 windows over the
-//! run). Output is byte-identical at any `--jobs`/`--domains` value —
-//! the CI profile-smoke step diffs it across both to enforce that.
+//! run). Output is byte-identical at any `--jobs` value — the CI
+//! profile-smoke step diffs it across job counts to enforce that.
 //!
 //! IDs: `table1 table2 table3 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 //! fig14 fig15 fig16 fig17 fig18 fig19 ablation_oci ablation_sig
@@ -59,44 +51,9 @@ use sb_workloads::{AppProfile, Suite};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures -- <table1|table2|table3|fig7..fig19|ablation_oci|ablation_sig|ablation_rotation|scaling|all> [--insns N] [--seed S] [--jobs N|auto] [--domains N|auto] [--cores LIST] [--fabrics LIST] [--csv DIR] [--timing] [--attribution] [--trace-out PATH] [--series-out PATH] [--series-window N]"
+        "usage: figures -- <table1|table2|table3|fig7..fig19|ablation_oci|ablation_sig|ablation_rotation|scaling|all> [--insns N] [--seed S] [--jobs N|auto] [--cores LIST] [--fabrics LIST] [--csv DIR] [--attribution] [--trace-out PATH] [--series-out PATH] [--series-window N]"
     );
     std::process::exit(2);
-}
-
-/// Runs the fig-7 FFT/ScalableBulk point at several core counts and
-/// prints the host-side throughput of each run plus the aggregate.
-fn timing_probe(sweep: &Sweep) {
-    use sb_proto::ProtocolKind;
-    use sb_sim::{run_simulation, SimConfig};
-
-    println!("== Simulator throughput (host-side; FFT under ScalableBulk) ==");
-    let mut total = sb_stats::PerfReport::default();
-    let mut phases = sb_stats::MetricsRegistry::new();
-    for cores in [8u16, 32, 64] {
-        let mut cfg =
-            SimConfig::paper_default(cores, AppProfile::fft(), ProtocolKind::ScalableBulk);
-        cfg.insns_per_thread = sweep.insns_per_thread;
-        cfg.seed = sweep.seed;
-        cfg.domains = sweep.domains;
-        let r = run_simulation(&cfg);
-        println!("{:>3} cores: {}", cores, r.perf.render());
-        println!("          {}", render_phases(&r.metrics));
-        // Percentiles are per-run reads (gauges sum under merge), so
-        // render them here rather than from the merged registry.
-        println!(
-            "          commit latency: mean {:.1}, p50 {}, p95 {}, p99 {}, max {} cycles",
-            r.latency.mean(),
-            r.latency.p50(),
-            r.latency.p95(),
-            r.latency.p99(),
-            r.latency.max()
-        );
-        total.accumulate(&r.perf);
-        phases.merge(&r.metrics);
-    }
-    println!("  overall: {}", total.render());
-    println!("           {}", render_phases(&phases));
 }
 
 /// Runs each Table-3 protocol (64-core FFT) with causal tracing on and
@@ -113,7 +70,6 @@ fn attribution_probe(sweep: &Sweep) {
         let mut cfg = SimConfig::paper_default(64, AppProfile::fft(), proto);
         cfg.insns_per_thread = sweep.insns_per_thread;
         cfg.seed = sweep.seed;
-        cfg.domains = sweep.domains;
         cfg.trace = true;
         cfg.obs = sb_sim::ObsConfig::on();
         let r = run_simulation(&cfg);
@@ -146,18 +102,6 @@ fn attribution_probe(sweep: &Sweep) {
     }
 }
 
-/// One-line per-phase wall-time rendering from the metrics registry —
-/// the same numbers `bench_json` exports.
-fn render_phases(m: &sb_stats::MetricsRegistry) -> String {
-    let g = |name| m.gauge(name).unwrap_or(0.0);
-    format!(
-        "phases: setup {:.3}s, run {:.3}s, drain {:.3}s",
-        g("phase.setup_secs"),
-        g("phase.run_secs"),
-        g("phase.drain_secs"),
-    )
-}
-
 /// Runs one observed 8-core FFT/ScalableBulk point and writes its
 /// Perfetto trace to `path`.
 fn trace_out(sweep: &Sweep, path: &std::path::Path) {
@@ -167,7 +111,6 @@ fn trace_out(sweep: &Sweep, path: &std::path::Path) {
     let mut cfg = SimConfig::paper_default(8, AppProfile::fft(), ProtocolKind::ScalableBulk);
     cfg.insns_per_thread = sweep.insns_per_thread;
     cfg.seed = sweep.seed;
-    cfg.domains = sweep.domains;
     cfg.trace = true;
     cfg.obs = sb_sim::ObsConfig::on();
     let r = run_simulation(&cfg);
@@ -190,7 +133,6 @@ fn series_out(sweep: &Sweep, path: &std::path::Path, window: u64) {
     let mut cfg = SimConfig::paper_default(8, AppProfile::fft(), ProtocolKind::ScalableBulk);
     cfg.insns_per_thread = sweep.insns_per_thread;
     cfg.seed = sweep.seed;
-    cfg.domains = sweep.domains;
     cfg.trace = true;
     cfg.obs = sb_sim::ObsConfig::on();
     cfg.obs.series_window = window;
@@ -215,12 +157,11 @@ fn main() {
     if args.is_empty() {
         usage();
     }
-    // (ids may legitimately be empty when only --timing was requested;
-    // checked after parsing.)
+    // (ids may legitimately be empty when only --attribution,
+    // --trace-out or --series-out was requested; checked after parsing.)
     let mut ids: Vec<String> = Vec::new();
     let mut sweep = Sweep::default();
     let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut timing = false;
     let mut attribution = false;
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut series_path: Option<std::path::PathBuf> = None;
@@ -232,7 +173,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--timing" => timing = true,
             "--attribution" => attribution = true,
             "--trace-out" => {
                 i += 1;
@@ -274,13 +214,6 @@ fn main() {
                     .and_then(|v| sb_sim::parallel::parse_jobs(v))
                     .unwrap_or_else(|| usage());
             }
-            "--domains" => {
-                i += 1;
-                sweep.domains = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_domains(v))
-                    .unwrap_or_else(|| usage());
-            }
             "--cores" => {
                 i += 1;
                 scaling_cores = args
@@ -303,7 +236,7 @@ fn main() {
         }
         i += 1;
     }
-    if ids.is_empty() && !timing && !attribution && trace_path.is_none() && series_path.is_none() {
+    if ids.is_empty() && !attribution && trace_path.is_none() && series_path.is_none() {
         usage();
     }
     if ids.iter().any(|i| i == "all") {
@@ -454,9 +387,6 @@ fn main() {
             eprintln!("[{} csv -> {}]", id, path.display());
         }
         eprintln!("[{} done in {:?}]", id, started.elapsed());
-    }
-    if timing {
-        timing_probe(&sweep);
     }
     if attribution {
         attribution_probe(&sweep);

@@ -1,17 +1,16 @@
 //! The full-system discrete-event machine.
 //!
-//! # Two-plane conservative parallel executor
+//! # Two-plane superphase executor
 //!
 //! The machine's event space is partitioned into two planes:
 //!
 //! * **Plane A** — one [`CoreUnit`] per simulated core: instruction
 //!   execution, the private cache hierarchy, chunk windows, squash
 //!   handling, and the core-side injection port of the torus. Units
-//!   never touch each other's state, so a superphase's A-side work can
-//!   run on any number of worker threads.
+//!   never touch each other's state within a superphase.
 //! * **Plane B** — the serial [`Hub`]: the commit protocol, the
 //!   directory modules, and the directory-side injection ports. All
-//!   protocol serialization decisions stay on one thread.
+//!   protocol serialization decisions are made here.
 //!
 //! The planes exchange *mail*: units emit [`CoreToB`] messages (read
 //! requests arriving at a home directory, commit requests, bulk-inv
@@ -19,36 +18,31 @@
 //! invalidations, commit outcomes). Execution alternates A and B
 //! *superphases* under a conservative horizon:
 //!
-//! * `G` = the earliest pending event anywhere (hub queue, unit queues,
-//!   undelivered mail);
+//! * `G` = the earliest pending event anywhere (hub queue and unit
+//!   queues, which already hold all delivered mail);
 //! * the A phase lets every unit drain events strictly below
-//!   `G + margin`, where `margin = fixed_overhead.max(1)` — the
-//!   network's [`lookahead`](sb_net::NetworkConfig::lookahead_bound)
-//!   floor, since any hub→core message sent at or after `G` arrives at
-//!   `G + fixed_overhead` at the earliest (perturbation only *adds*
-//!   delay);
+//!   `G + margin`, where `margin = fixed_overhead.max(1)` — any hub→core
+//!   message sent at or after `G` arrives at `G + fixed_overhead` at the
+//!   earliest (contention and perturbation only *add* delay; the
+//!   `sb-net` property tests pin this floor on every fabric);
 //! * the B phase then drains the hub strictly below the earliest
 //!   unit-side pending event, dynamically clamped to each hub→core
 //!   mail arrival it generates, so the hub never runs past a message a
 //!   unit still has to see.
 //!
-//! The phase schedule is computed from global state only, never from
-//! the thread layout, and all mail is merged in a fixed (unit index,
-//! generation) order — so the simulation is **bit-identical at every
-//! `domains` setting, including 1** (the determinism battery pins
-//! this). `SimConfig::domains` chooses how many OS threads the units
-//! are spread over; it changes wall-clock time and nothing else.
+//! During an A phase units only read the directory modules (frozen at
+//! the phase boundary); the hub mutates them during the B phase. All
+//! mail is merged in a fixed (unit index, generation) order, and each
+//! unit's timing-adversary stream is seeded from its own index.
 //!
 //! Observability (causal flows, the chunk-lifecycle trace, the obs
 //! log) is recorded into per-plane buffers tagged with the superphase
 //! index and merged at the end of the run: flows get dense 1-based ids
 //! in merged order (parents always precede children), and cross-plane
-//! `delivered_at` patches are applied as max-merges — so the exported
-//! artifacts are byte-identical at any domain count too.
+//! `delivered_at` patches are applied as max-merges.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 use sb_chunks::{ChunkSpec, ChunkTag, ChunkWindow, CommitRequest};
 use sb_engine::{Cycle, EventQueue, FxHashMap, FxHashSet};
@@ -68,7 +62,6 @@ use sb_workloads::WorkloadGen;
 
 use crate::config::{InjectedBug, SimConfig};
 use crate::obs::{FlowEvent, FlowKind, ObsEvent, ObsKind, ObsLog};
-use crate::parallel::effective_domains;
 use crate::result::RunResult;
 use crate::sched::{ChoiceSite, Scheduler};
 use crate::trace::{ChunkSnapshot, RunTrace, TraceEvent};
@@ -97,8 +90,7 @@ fn resched<'s>(sched: &'s mut Option<&mut dyn Scheduler>) -> Option<&'s mut dyn 
 
 /// SplitMix64 finalizer; spreads a unit index into an uncorrelated
 /// perturbation-seed offset so each unit's timing-adversary stream is
-/// independent of its neighbours' (and of the domain count, which never
-/// enters the computation).
+/// independent of its neighbours'.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -219,13 +211,11 @@ impl<M> BEv<M> {
 }
 
 /// Machine state visible to protocols: the hub's clock plus read access
-/// to the directory modules. Directory reads take the shared lock per
-/// call — never held across protocol up-calls, so the B phase can
-/// freely take the write lock between them.
+/// to the directory modules, borrowed for one protocol up-call.
 struct BView<'a> {
     now: Cycle,
     cores: u16,
-    dirs: &'a RwLock<Vec<DirectoryState>>,
+    dirs: &'a [DirectoryState],
 }
 
 impl MachineView for BView<'_> {
@@ -236,10 +226,10 @@ impl MachineView for BView<'_> {
         self.cores
     }
     fn dirs(&self) -> u16 {
-        self.dirs.read().expect("dirs lock").len() as u16
+        self.dirs.len() as u16
     }
     fn sharers_matching(&self, dir: DirId, wsig: &Signature, committer: CoreId) -> CoreSet {
-        self.dirs.read().expect("dirs lock")[dir.idx()].sharers_matching(wsig, committer)
+        self.dirs[dir.idx()].sharers_matching(wsig, committer)
     }
 }
 
@@ -328,8 +318,6 @@ impl CoreCtx {
 
 /// One plane-A scheduler: a core, its caches and chunk window, its own
 /// event queue, clock, injection port, workload stream, and statistics.
-/// There is exactly one unit per core at *every* domain count — domains
-/// only distribute the units over worker threads.
 struct CoreUnit {
     core: u16,
     cfg: SimConfig,
@@ -339,8 +327,7 @@ struct CoreUnit {
     now: Cycle,
     /// Core-side network ports: this unit's requests and acks inject
     /// here. Directory-side traffic uses the hub's network; the split
-    /// keeps injection-port state unit-local (and therefore domain-count
-    /// independent).
+    /// keeps injection-port state unit-local.
     net: Network,
     mapper: Arc<PageMapper>,
     workload: WorkloadGen,
@@ -353,7 +340,6 @@ struct CoreUnit {
     squash_conflict: u64,
     squash_alias: u64,
     commit_retries: u64,
-    outcome_failures: u64,
     latency: LatencyDist,
     dirs_stat: DirsPerCommit,
     // ---- phase-tagged observation buffers, merged at freeze ----
@@ -374,16 +360,14 @@ struct CoreUnit {
 impl CoreUnit {
     /// Drains every pending event strictly below `horizon`, in exact
     /// `(cycle, seq)` order — or, when a [`Scheduler`] is plugged in, in
-    /// the order it picks within each same-cycle batch. The directory
-    /// read guard is held for the whole phase: plane B only mutates
-    /// directories while no A phase is running.
+    /// the order it picks within each same-cycle batch. The directories
+    /// are read-only here: plane B only mutates them between A phases.
     fn run_phase(
         &mut self,
         horizon: Cycle,
-        dirs: &RwLock<Vec<DirectoryState>>,
+        dirs: &[DirectoryState],
         mut sched: Option<&mut dyn Scheduler>,
     ) {
-        let dirs = dirs.read().expect("dirs lock");
         loop {
             if self.batch.is_empty() {
                 // `advance_until` refills with exactly one cycle's
@@ -408,7 +392,7 @@ impl CoreUnit {
             let Some((at, ev)) = next else { break };
             self.now = self.now.max_of(at);
             self.events += 1;
-            self.dispatch(ev, &dirs);
+            self.dispatch(ev, dirs);
         }
     }
 
@@ -917,7 +901,6 @@ impl CoreUnit {
             self.process_held_invs();
             self.resume_after_window_change(t);
         } else {
-            self.outcome_failures += 1;
             let mut backoff = None;
             {
                 let c = &mut self.ctx;
@@ -1277,8 +1260,8 @@ impl CoreUnit {
 
 /// Plane B: the serial protocol/directory scheduler. Owns the commit
 /// protocol, the directory-side network ports, and the serialization
-/// gauges; mutates the directory modules (behind the machine's
-/// `RwLock`, write-locked only while no A phase runs).
+/// gauges; mutates the directory modules, which it borrows mutably for
+/// each B phase.
 struct Hub<P: CommitProtocol> {
     cfg: SimConfig,
     proto: P,
@@ -1296,7 +1279,7 @@ struct Hub<P: CommitProtocol> {
     read_nacks: u64,
     events: u64,
     /// Mail to the units, in generation order; distributed at the phase
-    /// edge (same order in inline and threaded modes).
+    /// edge.
     mail: Vec<(u16, Cycle, AEv)>,
     /// The B phase's dynamic horizon: clamped to every hub→core mail
     /// arrival so the hub never advances past a message a unit has not
@@ -1319,7 +1302,7 @@ impl<P: CommitProtocol> Hub<P> {
     fn b_phase(
         &mut self,
         horizon: Cycle,
-        dirs: &RwLock<Vec<DirectoryState>>,
+        dirs: &mut [DirectoryState],
         mut sched: Option<&mut dyn Scheduler>,
     ) {
         self.hb = horizon;
@@ -1410,7 +1393,7 @@ impl<P: CommitProtocol> Hub<P> {
         self.mail.push((core, at, ev));
     }
 
-    fn dispatch(&mut self, at: Cycle, ev: BEv<P::Msg>, dirs: &RwLock<Vec<DirectoryState>>) {
+    fn dispatch(&mut self, at: Cycle, ev: BEv<P::Msg>, dirs: &mut [DirectoryState]) {
         self.now = self.now.max_of(at);
         self.events += 1;
         self.cur_cause = ev.cause();
@@ -1434,7 +1417,7 @@ impl<P: CommitProtocol> Hub<P> {
                     let view = BView {
                         now: self.now,
                         cores: self.cfg.cores,
-                        dirs,
+                        dirs: &*dirs,
                     };
                     self.proto.bulk_inv_acked(&view, &mut self.outbox, ack);
                     self.flush_outbox(dirs);
@@ -1443,7 +1426,7 @@ impl<P: CommitProtocol> Hub<P> {
                     let view = BView {
                         now: self.now,
                         cores: self.cfg.cores,
-                        dirs,
+                        dirs: &*dirs,
                     };
                     self.proto.start_commit(&view, &mut self.outbox, req);
                     self.flush_outbox(dirs);
@@ -1486,7 +1469,7 @@ impl<P: CommitProtocol> Hub<P> {
                 let view = BView {
                     now: self.now,
                     cores: self.cfg.cores,
-                    dirs,
+                    dirs: &*dirs,
                 };
                 self.proto.deliver(&view, &mut self.outbox, dst, msg);
                 self.flush_outbox(dirs);
@@ -1502,7 +1485,7 @@ impl<P: CommitProtocol> Hub<P> {
         line: LineAddr,
         epoch: u64,
         stall_start: Cycle,
-        dirs: &RwLock<Vec<DirectoryState>>,
+        dirs: &mut [DirectoryState],
     ) {
         let t = self.now;
         let home = self.mapper.home_frozen(line);
@@ -1529,28 +1512,24 @@ impl<P: CommitProtocol> Hub<P> {
             );
             return;
         }
-        let (serve_from, serve_at, class) = {
-            let mut d = dirs.write().expect("dirs lock");
-            let class = read_class(&d, home, line);
-            let res = match class {
-                TrafficClass::RemoteDirtyRd => {
-                    // 3-hop: home forwards to the owner, which replies.
-                    let owner = d[home.idx()].owner_of(line).expect("dirty");
-                    let fwd = self.net.send(
-                        t,
-                        sb_net::NodeId(home.0),
-                        sb_net::NodeId(owner.0),
-                        MsgSize::Small,
-                        TrafficClass::RemoteDirtyRd,
-                    );
-                    (sb_net::NodeId(owner.0), fwd, class)
-                }
-                TrafficClass::MemRd => (sb_net::NodeId(home.0), t + self.cfg.mem_latency, class),
-                _ => (sb_net::NodeId(home.0), t, class),
-            };
-            d[home.idx()].record_read(line, CoreId(core));
-            res
+        let class = read_class(dirs, home, line);
+        let (serve_from, serve_at) = match class {
+            TrafficClass::RemoteDirtyRd => {
+                // 3-hop: home forwards to the owner, which replies.
+                let owner = dirs[home.idx()].owner_of(line).expect("dirty");
+                let fwd = self.net.send(
+                    t,
+                    sb_net::NodeId(home.0),
+                    sb_net::NodeId(owner.0),
+                    MsgSize::Small,
+                    TrafficClass::RemoteDirtyRd,
+                );
+                (sb_net::NodeId(owner.0), fwd)
+            }
+            TrafficClass::MemRd => (sb_net::NodeId(home.0), t + self.cfg.mem_latency),
+            _ => (sb_net::NodeId(home.0), t),
         };
+        dirs[home.idx()].record_read(line, CoreId(core));
         self.bq.push(
             serve_at,
             BEv::ReadServe {
@@ -1566,20 +1545,16 @@ impl<P: CommitProtocol> Hub<P> {
 
     /// Home-side handling of a store fetch: register the sharer and serve
     /// the line (from memory after the memory latency, or cache-to-cache).
-    fn store_at_dir(&mut self, core: u16, line: LineAddr, dirs: &RwLock<Vec<DirectoryState>>) {
+    fn store_at_dir(&mut self, core: u16, line: LineAddr, dirs: &mut [DirectoryState]) {
         let t = self.now;
         let home = self.mapper.home_frozen(line);
-        let (class, from) = {
-            let mut d = dirs.write().expect("dirs lock");
-            let class = read_class(&d, home, line);
-            d[home.idx()].record_read(line, CoreId(core));
-            let from = match class {
-                TrafficClass::RemoteDirtyRd => {
-                    sb_net::NodeId(d[home.idx()].owner_of(line).map_or(home.0, |o| o.0))
-                }
-                _ => sb_net::NodeId(home.0),
-            };
-            (class, from)
+        let class = read_class(dirs, home, line);
+        dirs[home.idx()].record_read(line, CoreId(core));
+        let from = match class {
+            TrafficClass::RemoteDirtyRd => {
+                sb_net::NodeId(dirs[home.idx()].owner_of(line).map_or(home.0, |o| o.0))
+            }
+            _ => sb_net::NodeId(home.0),
         };
         let extra = if class == TrafficClass::MemRd {
             self.cfg.mem_latency
@@ -1601,7 +1576,7 @@ impl<P: CommitProtocol> Hub<P> {
     /// the scratch buffer, and executes the commands. Both allocations
     /// are reused for the lifetime of the run — the steady-state event
     /// loop does not allocate per protocol step.
-    fn flush_outbox(&mut self, dirs: &RwLock<Vec<DirectoryState>>) {
+    fn flush_outbox(&mut self, dirs: &mut [DirectoryState]) {
         self.protocol_steps += 1;
         // Temporarily move the scratch out of `self` so `execute` can
         // borrow the rest of the hub mutably; the (possibly grown)
@@ -1612,7 +1587,7 @@ impl<P: CommitProtocol> Hub<P> {
         self.cmd_scratch = cmds;
     }
 
-    fn execute(&mut self, cmds: &mut Vec<Command<P::Msg>>, dirs: &RwLock<Vec<DirectoryState>>) {
+    fn execute(&mut self, cmds: &mut Vec<Command<P::Msg>>, dirs: &mut [DirectoryState]) {
         let now = self.now;
         for cmd in cmds.drain(..) {
             match cmd {
@@ -1756,7 +1731,7 @@ impl<P: CommitProtocol> Hub<P> {
                     wsig,
                     committer,
                 } => {
-                    dirs.write().expect("dirs lock")[dir.idx()].apply_commit(&wsig, committer);
+                    dirs[dir.idx()].apply_commit(&wsig, committer);
                 }
                 Command::Event(ev) => {
                     if self.obs_on {
@@ -1837,10 +1812,6 @@ impl<P: CommitProtocol> Hub<P> {
     }
 }
 
-/// Coordination state for one threaded run: generation-counted phase
-/// barriers plus per-unit mailboxes and outboxes. All mail still flows
-/// through the same index-ordered merge as the inline path, so thread
-/// scheduling never reaches simulated state.
 /// Host-side self-profiling accumulators for the two-plane executor.
 /// Only populated when [`ObsConfig::profile`](crate::ObsConfig) is on;
 /// otherwise the run loops pay at most one branch per superphase.
@@ -1852,9 +1823,8 @@ struct Prof {
     superphases: u64,
     /// Superphases executed in the post-run observability drain.
     drain_superphases: u64,
-    /// Busy wall-nanoseconds per executor domain (A-phase work; domain 0
-    /// is the main thread).
-    a_busy_ns: Vec<u64>,
+    /// Plane-A (core-unit walk) busy wall-nanoseconds.
+    a_busy_ns: u64,
     /// Hub B-phase busy wall-nanoseconds.
     b_busy_ns: u64,
     /// B phases that dispatched at least one hub event (the hub-horizon
@@ -1863,9 +1833,6 @@ struct Prof {
     b_busy_phases: u64,
     /// Total B phases.
     b_phases: u64,
-    /// Main-thread wall-nanoseconds spent spinning on the A-phase
-    /// barrier waiting for worker domains.
-    barrier_ns: u64,
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -1881,144 +1848,12 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-struct PhaseShared {
-    /// Per-domain A-phase busy nanoseconds (index 0 = main thread).
-    /// Workers accumulate locally and publish once at stop; only read
-    /// after the thread scope ends. Empty when profiling is off.
-    a_ns: Vec<AtomicU64>,
-    /// Whether workers should time their A phases.
-    profile: bool,
-    /// Phase generation; workers spin until it advances.
-    gen: AtomicU64,
-    /// The published A-phase horizon for the current generation.
-    horizon: AtomicU64,
-    /// The published superphase tag (for observation buffers).
-    phase_idx: AtomicU64,
-    stop: AtomicBool,
-    /// Worker chunks finished with the current generation.
-    done: AtomicUsize,
-    /// Units that reached `Phase::Finished` (monotone).
-    finished: AtomicUsize,
-    /// Each unit's next pending event time after its last A phase
-    /// (`u64::MAX` = empty queue).
-    n_next: Vec<AtomicU64>,
-    /// Hub→unit mail, delivered at the start of the unit's next A phase.
-    mailboxes: Vec<Mutex<Vec<(Cycle, AEv)>>>,
-    /// Unit→hub mail, gathered by the main thread in unit-index order.
-    outboxes: Vec<Mutex<Vec<(Cycle, CoreToB)>>>,
-}
-
-impl PhaseShared {
-    fn new(n: usize, domains: usize, profile: bool) -> Self {
-        PhaseShared {
-            a_ns: (0..if profile { domains } else { 0 })
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            profile,
-            gen: AtomicU64::new(0),
-            horizon: AtomicU64::new(0),
-            phase_idx: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            done: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
-            n_next: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            outboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-}
-
-/// Runs one A phase over a contiguous chunk of units (`offset` = index
-/// of the first). Identical for the main thread and workers: deliver
-/// pending mail in order, drain to the horizon, publish the next event
-/// time, and swap the unit's outgoing mail into its outbox slot.
-fn run_chunk(
-    units: &mut [CoreUnit],
-    offset: usize,
-    shared: &PhaseShared,
-    dirs: &RwLock<Vec<DirectoryState>>,
-    horizon: Cycle,
-    pt: u64,
-) {
-    for (k, u) in units.iter_mut().enumerate() {
-        let i = offset + k;
-        u.phase_tag = pt;
-        {
-            let mut mb = shared.mailboxes[i].lock().expect("mailbox");
-            for (at, ev) in mb.drain(..) {
-                u.queue.push(at, ev);
-            }
-        }
-        u.run_phase(horizon, dirs, None);
-        shared.n_next[i].store(
-            u.queue.peek_time().map_or(u64::MAX, Cycle::as_u64),
-            Ordering::SeqCst,
-        );
-        {
-            let mut ob = shared.outboxes[i].lock().expect("outbox");
-            debug_assert!(ob.is_empty());
-            std::mem::swap(&mut *ob, &mut u.to_b);
-        }
-        if u.ctx.phase == Phase::Finished && !u.finish_reported {
-            u.finish_reported = true;
-            shared.finished.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Worker thread body: spin for the next phase generation, run the
-/// chunk, report done. Spinning (with periodic yields) beats parking
-/// here — phases are microseconds long and the fleet is capped at the
-/// host's available parallelism.
-fn worker_loop(
-    units: &mut [CoreUnit],
-    offset: usize,
-    dom: usize,
-    shared: &PhaseShared,
-    dirs: &RwLock<Vec<DirectoryState>>,
-) {
-    let mut seen = 0u64;
-    let mut busy_ns = 0u64;
-    loop {
-        let mut spins = 0u32;
-        loop {
-            let g = shared.gen.load(Ordering::SeqCst);
-            if g != seen {
-                seen = g;
-                break;
-            }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            if shared.profile {
-                shared.a_ns[dom].store(busy_ns, Ordering::SeqCst);
-            }
-            return;
-        }
-        let horizon = Cycle(shared.horizon.load(Ordering::SeqCst));
-        let pt = shared.phase_idx.load(Ordering::SeqCst);
-        if shared.profile {
-            let t = std::time::Instant::now();
-            run_chunk(units, offset, shared, dirs, horizon, pt);
-            busy_ns += t.elapsed().as_nanos() as u64;
-        } else {
-            run_chunk(units, offset, shared, dirs, horizon, pt);
-        }
-        shared.done.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 /// The simulated machine: per-core plane-A units, the shared directory
 /// modules, and the plane-B hub.
 pub struct Machine<P: CommitProtocol> {
     cfg: SimConfig,
     units: Vec<CoreUnit>,
-    dirs: RwLock<Vec<DirectoryState>>,
+    dirs: Vec<DirectoryState>,
     hub: Hub<P>,
     /// Superphase counter; continues across the measured run and the
     /// observability drain so phase tags stay globally ordered.
@@ -2078,7 +1913,7 @@ impl<P: CommitProtocol> Machine<P> {
         // can ever access, attributed to the core that runs the thread —
         // exactly the home runtime first-touch would have assigned, but
         // assigned up front so the measured run only ever *reads* the
-        // mapper (shared immutably across domains). `max(1)`: the
+        // mapper (shared immutably by the units and the hub). `max(1)`: the
         // generator clamps its private-index modulus the same way, so a
         // zero-sized region still accesses its base line.
         for t in 0..cfg.threads {
@@ -2192,8 +2027,7 @@ impl<P: CommitProtocol> Machine<P> {
                     net: match cfg.perturb {
                         None => Network::new(cfg.net),
                         // Re-seed per unit (SplitMix-spread) so every
-                        // unit draws an independent jitter stream no
-                        // matter how units land on threads.
+                        // unit draws an independent jitter stream.
                         Some(p) => Network::with_perturbation(
                             cfg.net,
                             PerturbationConfig {
@@ -2211,7 +2045,6 @@ impl<P: CommitProtocol> Machine<P> {
                     squash_conflict: 0,
                     squash_alias: 0,
                     commit_retries: 0,
-                    outcome_failures: 0,
                     latency: LatencyDist::new(),
                     dirs_stat: DirsPerCommit::new(),
                     trace_on: cfg.trace,
@@ -2231,7 +2064,7 @@ impl<P: CommitProtocol> Machine<P> {
         Machine {
             cfg,
             units,
-            dirs: RwLock::new(dirs),
+            dirs,
             hub,
             phase_ctr: 0,
             setup_wall: setup_start.elapsed(),
@@ -2250,10 +2083,7 @@ impl<P: CommitProtocol> Machine<P> {
     }
 
     /// Like [`Machine::run`], with a pluggable same-cycle dispatch order
-    /// (see [`Scheduler`]). `None` is byte-identical to [`Machine::run`];
-    /// `Some` forces the inline superphase loop regardless of the
-    /// configured domain count (the explorer needs one deterministic
-    /// consultation order, and its configs are tiny anyway).
+    /// (see [`Scheduler`]). `None` is byte-identical to [`Machine::run`].
     ///
     /// # Panics
     ///
@@ -2267,16 +2097,7 @@ impl<P: CommitProtocol> Machine<P> {
             self.hub.bq.reserve(expected - self.hub.bq.len());
         }
         let wall_start = std::time::Instant::now();
-        let domains = effective_domains(self.cfg.domains, self.cfg.cores as usize);
-        if self.cfg.obs.profile {
-            self.prof.a_busy_ns.resize(domains.max(1), 0);
-        }
-        let deadlocked = if sched.is_some() || domains <= 1 || self.units.len() <= 1 {
-            self.run_superphases(false, resched(&mut sched))
-        } else {
-            self.run_threaded(domains)
-        };
-        if deadlocked {
+        if self.run_superphases(false, resched(&mut sched)) {
             self.panic_deadlock();
         }
         let run_wall = wall_start.elapsed();
@@ -2307,9 +2128,8 @@ impl<P: CommitProtocol> Machine<P> {
         result
     }
 
-    /// The inline superphase loop: same schedule as the threaded path,
-    /// no threads, no atomics. Used for `domains <= 1` and for the
-    /// post-run observability drain (`drain = true`, which ignores the
+    /// The superphase loop, for the measured run and for the post-run
+    /// observability drain (`drain = true`, which ignores the
     /// all-finished break and stops at global quiescence instead).
     /// Returns `true` on deadlock.
     fn run_superphases(&mut self, drain: bool, mut sched: Option<&mut dyn Scheduler>) -> bool {
@@ -2317,8 +2137,6 @@ impl<P: CommitProtocol> Machine<P> {
         let total = self.units.len();
         let profile = self.cfg.obs.profile;
         let mut finished = self.units.iter().filter(|u| u.finish_reported).count();
-        let progress = std::env::var_os("SB_SIM_PROGRESS").is_some();
-        let mut next_report = 5_000_000u64;
         loop {
             if !drain && finished == total {
                 break;
@@ -2352,7 +2170,7 @@ impl<P: CommitProtocol> Machine<P> {
                 }
             }
             if let Some(t) = t_a {
-                self.prof.a_busy_ns[0] += t.elapsed().as_nanos() as u64;
+                self.prof.a_busy_ns += t.elapsed().as_nanos() as u64;
                 if drain {
                     self.prof.drain_superphases += 1;
                 } else {
@@ -2375,14 +2193,14 @@ impl<P: CommitProtocol> Machine<P> {
             if profile {
                 let ev0 = self.hub.events;
                 let t = std::time::Instant::now();
-                self.hub.b_phase(hb0, &self.dirs, resched(&mut sched));
+                self.hub.b_phase(hb0, &mut self.dirs, resched(&mut sched));
                 self.prof.b_busy_ns += t.elapsed().as_nanos() as u64;
                 self.prof.b_phases += 1;
                 if self.hub.events > ev0 {
                     self.prof.b_busy_phases += 1;
                 }
             } else {
-                self.hub.b_phase(hb0, &self.dirs, resched(&mut sched));
+                self.hub.b_phase(hb0, &mut self.dirs, resched(&mut sched));
             }
             let mut mail = std::mem::take(&mut self.hub.mail);
             for (core, at, ev) in mail.drain(..) {
@@ -2390,170 +2208,8 @@ impl<P: CommitProtocol> Machine<P> {
             }
             self.hub.mail = mail;
             self.phase_ctr += 1;
-            if progress {
-                let ev: u64 = self.units.iter().map(|u| u.events).sum::<u64>() + self.hub.events;
-                if ev >= next_report {
-                    eprintln!(
-                        "[progress] ev={}M now={} finished={}/{} commits={} fails={} nacks={} inflight={}",
-                        ev / 1_000_000,
-                        self.hub.now,
-                        finished,
-                        total,
-                        self.units.iter().map(|u| u.commits).sum::<u64>(),
-                        self.units.iter().map(|u| u.outcome_failures).sum::<u64>(),
-                        self.hub.read_nacks,
-                        self.hub.proto.in_flight(),
-                    );
-                    next_report = ev + 5_000_000;
-                }
-            }
         }
         false
-    }
-
-    /// The threaded superphase loop: identical schedule to
-    /// [`Machine::run_superphases`], with the A phases distributed over
-    /// `domains` OS threads (this thread runs chunk 0 itself and spawns
-    /// `domains - 1` workers). Returns `true` on deadlock.
-    fn run_threaded(&mut self, domains: usize) -> bool {
-        let n = self.units.len();
-        let margin = self.cfg.net.fixed_overhead.max(1);
-        let profile = self.cfg.obs.profile;
-        let chunk = n.div_ceil(domains);
-        let shared = PhaseShared::new(n, domains, profile);
-        for (i, u) in self.units.iter().enumerate() {
-            shared.n_next[i].store(
-                u.queue.peek_time().map_or(u64::MAX, Cycle::as_u64),
-                Ordering::SeqCst,
-            );
-            if u.finish_reported {
-                shared.finished.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        // Earliest undelivered mail per unit; `MAX` when its mailbox is
-        // empty. Main-thread-local: refilled on each distribution, read
-        // when computing the next G (the mailboxes drain during the A
-        // phase *after* that read).
-        let mut mail_min = vec![Cycle::MAX; n];
-        let mut deadlocked = false;
-        let dirs = &self.dirs;
-        let hub = &mut self.hub;
-        let phase_ctr = &mut self.phase_ctr;
-        let prof = &mut self.prof;
-        let mut finished = shared.finished.load(Ordering::SeqCst);
-        std::thread::scope(|s| {
-            let mut chunks = self.units.chunks_mut(chunk);
-            let main_chunk = chunks.next().expect("at least one unit");
-            let mut offset = main_chunk.len();
-            let mut workers = 0usize;
-            for ch in chunks {
-                let off = offset;
-                offset += ch.len();
-                let sh = &shared;
-                let dom = workers + 1;
-                s.spawn(move || worker_loop(ch, off, dom, sh, dirs));
-                workers += 1;
-            }
-            loop {
-                if finished == n {
-                    break;
-                }
-                let mut g = hub.bq.peek_time().unwrap_or(Cycle::MAX);
-                for (i, a) in shared.n_next.iter().enumerate() {
-                    let t = Cycle(a.load(Ordering::SeqCst));
-                    if t < g {
-                        g = t;
-                    }
-                    if mail_min[i] < g {
-                        g = mail_min[i];
-                    }
-                }
-                if g == Cycle::MAX {
-                    deadlocked = finished < n;
-                    break;
-                }
-                let ha = g + margin;
-                let pt = *phase_ctr;
-                shared.horizon.store(ha.as_u64(), Ordering::SeqCst);
-                shared.phase_idx.store(pt, Ordering::SeqCst);
-                shared.done.store(0, Ordering::SeqCst);
-                shared.gen.fetch_add(1, Ordering::SeqCst);
-                let t_a = profile.then(std::time::Instant::now);
-                run_chunk(main_chunk, 0, &shared, dirs, ha, pt);
-                let t_barrier = t_a.map(|t| {
-                    prof.a_busy_ns[0] += t.elapsed().as_nanos() as u64;
-                    prof.superphases += 1;
-                    std::time::Instant::now()
-                });
-                let mut spins = 0u32;
-                while shared.done.load(Ordering::SeqCst) < workers {
-                    spins = spins.wrapping_add(1);
-                    if spins.is_multiple_of(64) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-                if let Some(t) = t_barrier {
-                    prof.barrier_ns += t.elapsed().as_nanos() as u64;
-                }
-                // Gather unit→hub mail in unit-index order — the exact
-                // order the inline loop pushes it, so hub event sequence
-                // numbers are identical.
-                for ob in shared.outboxes.iter() {
-                    let mut ob = ob.lock().expect("outbox");
-                    for (at, m) in ob.drain(..) {
-                        hub.bq.push(at, BEv::FromCore(m));
-                    }
-                }
-                finished = shared.finished.load(Ordering::SeqCst);
-                *phase_ctr = pt + 1;
-                if finished == n {
-                    break;
-                }
-                let mut hb0 = Cycle::MAX;
-                for a in shared.n_next.iter() {
-                    let t = Cycle(a.load(Ordering::SeqCst));
-                    if t < hb0 {
-                        hb0 = t;
-                    }
-                }
-                hub.phase_tag = *phase_ctr;
-                if profile {
-                    let ev0 = hub.events;
-                    let t = std::time::Instant::now();
-                    hub.b_phase(hb0, dirs, None);
-                    prof.b_busy_ns += t.elapsed().as_nanos() as u64;
-                    prof.b_phases += 1;
-                    if hub.events > ev0 {
-                        prof.b_busy_phases += 1;
-                    }
-                } else {
-                    hub.b_phase(hb0, dirs, None);
-                }
-                for m in mail_min.iter_mut() {
-                    *m = Cycle::MAX;
-                }
-                for (core, at, ev) in hub.mail.drain(..) {
-                    let i = core as usize;
-                    if at < mail_min[i] {
-                        mail_min[i] = at;
-                    }
-                    shared.mailboxes[i].lock().expect("mailbox").push((at, ev));
-                }
-                *phase_ctr += 1;
-            }
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.gen.fetch_add(1, Ordering::SeqCst);
-        });
-        // Workers have joined (the scope guarantees it): fold their
-        // published busy times into the per-domain accumulators.
-        if profile {
-            for (d, a) in shared.a_ns.iter().enumerate().skip(1) {
-                self.prof.a_busy_ns[d] += a.load(Ordering::SeqCst);
-            }
-        }
-        deadlocked
     }
 
     fn panic_deadlock(&self) -> ! {
@@ -2630,7 +2286,7 @@ impl<P: CommitProtocol> Machine<P> {
     }
 
     /// Merges the per-unit trace buffers into one stream, ordered by
-    /// superphase then unit index — a fixed order at any domain count.
+    /// superphase then unit index.
     fn merged_trace(&mut self) -> RunTrace {
         let total: usize = self.units.iter().map(|u| u.trace_buf.len()).sum();
         let mut tagged: Vec<(u64, TraceEvent)> = Vec::with_capacity(total);
@@ -2840,11 +2496,9 @@ impl<P: CommitProtocol> Machine<P> {
                 },
             );
             reg.set_gauge("prof.hub_busy_secs", p.b_busy_ns as f64 * 1e-9);
-            reg.set_gauge("prof.barrier_stall_secs", p.barrier_ns as f64 * 1e-9);
-            reg.set_gauge("prof.domains", p.a_busy_ns.len().max(1) as f64);
-            for (d, ns) in p.a_busy_ns.iter().enumerate() {
-                reg.set_gauge(&format!("prof.domain_busy_secs.d{d}"), *ns as f64 * 1e-9);
-            }
+            // Plane-A busy time. The key keeps its historical `.d0`
+            // suffix: external harnesses read it by name.
+            reg.set_gauge("prof.domain_busy_secs.d0", p.a_busy_ns as f64 * 1e-9);
             let mut tiers = self.hub.bq.tier_stats();
             for u in &self.units {
                 tiers.merge(&u.queue.tier_stats());

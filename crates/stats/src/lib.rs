@@ -15,8 +15,8 @@
 //! * [`TextTable`] — aligned text/CSV rendering used by the `figures`
 //!   binary.
 //! * [`PerfReport`] — host-side simulator throughput (events/sec,
-//!   sim-cycles/sec) behind the `figures --timing` flag and the
-//!   criterion benches.
+//!   sim-cycles/sec) behind the `profile` and `bench_json` binaries and
+//!   the criterion benches.
 //! * [`MetricsRegistry`] — named counters/gauges/histograms registered
 //!   by the simulator (traffic per Table-1 class, phase wall times,
 //!   queue depths), merged across runs and dumped as deterministic

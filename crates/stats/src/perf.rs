@@ -3,8 +3,9 @@
 //! Everything else in this crate measures the *simulated* machine; this
 //! module measures the *simulator* — how many discrete events and protocol
 //! steps the host dispatched, how long that took in wall time, and the
-//! derived throughput rates. The numbers feed the `--timing` flag of the
-//! `figures` binary, the criterion benches, and `BENCH_throughput.json`.
+//! derived throughput rates. The numbers feed the `profile` and
+//! `bench_json` binaries (and `BENCH_throughput.json`) and the criterion
+//! benches.
 //!
 //! A [`PerfReport`] never influences simulated results: it is built from
 //! monotonic host-side counters after the run completes.
@@ -67,16 +68,7 @@ impl PerfReport {
         }
     }
 
-    /// Merges another run's counters into this one (summing counts and
-    /// wall time) — used when reporting a whole sweep as one line.
-    pub fn accumulate(&mut self, other: &PerfReport) {
-        self.events_dispatched += other.events_dispatched;
-        self.protocol_steps += other.protocol_steps;
-        self.sim_cycles += other.sim_cycles;
-        self.wall += other.wall;
-    }
-
-    /// One-line human rendering, e.g. for `figures --timing`.
+    /// One-line human rendering, e.g. for the `profile` binary.
     pub fn render(&self) -> String {
         format!(
             "{} events, {} proto steps, {} sim cycles in {:.3}s ({:.0} events/s, {:.0} sim cycles/s)",
@@ -103,28 +95,6 @@ mod tests {
         assert_eq!(p.events_per_sec(), 0.0);
         assert_eq!(p.sim_cycles_per_sec(), 0.0);
         assert_eq!(p.protocol_steps_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn accumulate_sums_fields() {
-        let mut a = PerfReport {
-            events_dispatched: 10,
-            protocol_steps: 5,
-            sim_cycles: 100,
-            wall: Duration::from_millis(20),
-        };
-        let b = PerfReport {
-            events_dispatched: 30,
-            protocol_steps: 15,
-            sim_cycles: 300,
-            wall: Duration::from_millis(80),
-        };
-        a.accumulate(&b);
-        assert_eq!(a.events_dispatched, 40);
-        assert_eq!(a.protocol_steps, 20);
-        assert_eq!(a.sim_cycles, 400);
-        assert_eq!(a.wall, Duration::from_millis(100));
-        assert_eq!(a.events_per_sec().round() as u64, 400);
     }
 
     #[test]

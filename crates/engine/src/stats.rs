@@ -1,104 +1,8 @@
 //! Small statistical accumulators used throughout the simulator.
 //!
 //! Heavier, figure-specific collectors live in the `sb-stats` crate; the
-//! types here are the generic building blocks (running means, bounded
-//! histograms) that the substrate crates also need.
-
-use std::fmt;
-
-/// A running mean/min/max accumulator over `u64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use sb_engine::stats::Accumulator;
-///
-/// let mut acc = Accumulator::new();
-/// acc.record(10);
-/// acc.record(20);
-/// assert_eq!(acc.count(), 2);
-/// assert_eq!(acc.mean(), 15.0);
-/// assert_eq!(acc.min(), Some(10));
-/// assert_eq!(acc.max(), Some(20));
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Accumulator {
-    count: u64,
-    sum: u128,
-    min: Option<u64>,
-    max: Option<u64>,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum += v as u128;
-        self.min = Some(self.min.map_or(v, |m| m.min(v)));
-        self.max = Some(self.max.map_or(v, |m| m.max(v)));
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Mean of the samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest sample seen, if any.
-    pub fn min(&self) -> Option<u64> {
-        self.min
-    }
-
-    /// Largest sample seen, if any.
-    pub fn max(&self) -> Option<u64> {
-        self.max
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &Accumulator) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-}
-
-impl fmt::Display for Accumulator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.2} min={:?} max={:?}",
-            self.count,
-            self.mean(),
-            self.min,
-            self.max
-        )
-    }
-}
+//! bounded histogram here is the generic building block the substrate
+//! crates also need.
 
 /// A fixed-bucket histogram over `u64` samples with a catch-all overflow
 /// bucket, mirroring how the paper reports "14, more" style distributions.
@@ -125,7 +29,9 @@ pub struct Histogram {
     width: u64,
     counts: Vec<u64>,
     overflow: u64,
-    acc: Accumulator,
+    total: u64,
+    sum: u128,
+    max: Option<u64>,
 }
 
 impl Histogram {
@@ -140,13 +46,17 @@ impl Histogram {
             width: bucket_width,
             counts: vec![0; buckets],
             overflow: 0,
-            acc: Accumulator::new(),
+            total: 0,
+            sum: 0,
+            max: None,
         }
     }
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        self.acc.record(v);
+        self.total += 1;
+        self.sum += v as u128;
+        self.max = self.max.max(Some(v));
         let idx = (v / self.width) as usize;
         if idx < self.counts.len() {
             self.counts[idx] += 1;
@@ -157,7 +67,7 @@ impl Histogram {
 
     /// Exact sum of all recorded samples (overflow included).
     pub fn sum(&self) -> u128 {
-        self.acc.sum()
+        self.sum
     }
 
     /// Count in bucket `i` (0 if out of range).
@@ -172,17 +82,21 @@ impl Histogram {
 
     /// Total samples recorded.
     pub fn total(&self) -> u64 {
-        self.acc.count()
+        self.total
     }
 
     /// Mean of all recorded samples (not bucketized).
     pub fn mean(&self) -> f64 {
-        self.acc.mean()
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.total as f64
+        }
     }
 
     /// Largest recorded sample.
     pub fn max(&self) -> Option<u64> {
-        self.acc.max()
+        self.max
     }
 
     /// Number of regular (non-overflow) buckets.
@@ -229,7 +143,9 @@ impl Histogram {
             *a += b;
         }
         self.overflow += other.overflow;
-        self.acc.merge(&other.acc);
+        self.total += other.total;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
     }
 
     /// The value below which `q` (0..=1) of the samples fall, estimated at
@@ -247,43 +163,13 @@ impl Histogram {
                 return (i as u64 + 1) * self.width;
             }
         }
-        self.acc.max().unwrap_or(0)
+        self.max.unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulator_tracks_everything() {
-        let mut a = Accumulator::new();
-        assert_eq!(a.mean(), 0.0);
-        for v in [3, 1, 2] {
-            a.record(v);
-        }
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 6);
-        assert_eq!(a.mean(), 2.0);
-        assert_eq!(a.min(), Some(1));
-        assert_eq!(a.max(), Some(3));
-        assert!(!a.to_string().is_empty());
-    }
-
-    #[test]
-    fn accumulator_merge() {
-        let mut a = Accumulator::new();
-        a.record(1);
-        let mut b = Accumulator::new();
-        b.record(9);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(1));
-        assert_eq!(a.max(), Some(9));
-        let mut empty = Accumulator::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
-    }
 
     #[test]
     fn histogram_buckets_and_overflow() {
@@ -332,20 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_accumulator_is_all_neutral() {
-        // Pins the empty-state contract the metrics registry and the
-        // figure collectors rely on: no division by zero, no phantom
-        // extrema.
-        let a = Accumulator::new();
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.sum(), 0);
-        assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.min(), None);
-        assert_eq!(a.max(), None);
-        assert!(!a.to_string().is_empty());
-    }
-
-    #[test]
     fn empty_histogram_is_all_neutral() {
         let h = Histogram::new(4, 10);
         assert_eq!(h.total(), 0);
@@ -364,9 +236,6 @@ mod tests {
 
     #[test]
     fn merging_empties_stays_empty() {
-        let mut a = Accumulator::new();
-        a.merge(&Accumulator::new());
-        assert_eq!((a.count(), a.min(), a.max()), (0, None, None));
         let mut h = Histogram::new(4, 10);
         h.merge(&Histogram::new(4, 10));
         assert_eq!(h.total(), 0);

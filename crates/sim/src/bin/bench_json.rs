@@ -37,6 +37,8 @@
 //! the budget — the measuring stick for the memory-lean >=256-core
 //! directory state.
 //!
+//! A missing, malformed or unknown flag prints the usage and exits 2.
+//!
 //! `--jobs N` runs the cells on worker threads (simulated outcomes are
 //! unaffected; results merge in cell order). The default stays `1`:
 //! this binary *measures* host-side throughput, and concurrent cells
@@ -58,6 +60,30 @@ use sb_proto::ProtocolKind;
 use sb_sim::parallel::parallel_map;
 use sb_sim::{run_simulation, SimConfig};
 use sb_workloads::AppProfile;
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: bench_json -- [--out PATH] [--insns N] [--repeats R] \
+         [--cores N[,N...]] [--fabrics torus|cmesh|xtorus[,...]] \
+         [--protocols NAME[,NAME...]] [--jobs N|auto] \
+         [--compare BASELINE.json] [--max-regress PCT] [--profile] [--max-rss-mb MB]"
+    );
+    std::process::exit(2);
+}
+
+/// Advances `i` to the value of flag `args[i]` and parses it; prints the
+/// usage and exits 2 when the value is missing or malformed.
+fn flag_value<T>(args: &[String], i: &mut usize, parse: impl FnOnce(&str) -> Option<T>) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i).map(String::as_str).and_then(parse) {
+        Some(v) => v,
+        None => {
+            eprintln!("{flag}: missing or malformed value");
+            usage();
+        }
+    }
+}
 
 struct Entry {
     protocol: ProtocolKind,
@@ -83,85 +109,35 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--profile" => profile = true,
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).cloned().expect("--out needs a path");
-            }
-            "--insns" => {
-                i += 1;
-                insns = args.get(i).and_then(|v| v.parse().ok()).expect("--insns N");
-            }
-            "--repeats" => {
-                i += 1;
-                repeats = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .expect("--repeats R");
-            }
-            "--compare" => {
-                i += 1;
-                compare = Some(args.get(i).cloned().expect("--compare needs a path"));
-            }
-            "--max-regress" => {
-                i += 1;
-                max_regress = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-regress PCT");
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|v| sb_sim::parallel::parse_jobs(v))
-                    .expect("--jobs N|auto");
-            }
+            "--out" => out_path = flag_value(&args, &mut i, |v| Some(v.to_string())),
+            "--insns" => insns = flag_value(&args, &mut i, |v| v.parse().ok()),
+            "--repeats" => repeats = flag_value(&args, &mut i, |v| v.parse().ok()),
+            "--compare" => compare = Some(flag_value(&args, &mut i, |v| Some(v.to_string()))),
+            "--max-regress" => max_regress = flag_value(&args, &mut i, |v| v.parse().ok()),
+            "--jobs" => jobs = flag_value(&args, &mut i, sb_sim::parallel::parse_jobs),
             "--cores" => {
-                i += 1;
-                cores_list = args
-                    .get(i)
-                    .and_then(|v| {
-                        v.split(',')
-                            .map(|c| c.trim().parse::<u16>().ok().filter(|&c| c >= 1))
-                            .collect()
-                    })
-                    .expect("--cores N[,N...]");
+                cores_list = flag_value(&args, &mut i, |v| {
+                    v.split(',')
+                        .map(|c| c.trim().parse::<u16>().ok().filter(|&c| c >= 1))
+                        .collect()
+                })
             }
             "--fabrics" => {
-                i += 1;
-                fabrics = args
-                    .get(i)
-                    .map(|v| v.split(',').map(|f| f.trim().to_string()).collect())
-                    .expect("--fabrics NAME[,NAME...]");
-                for f in &fabrics {
-                    assert!(
-                        Topology::by_name(f, 64).is_some(),
-                        "unknown fabric {f:?}; expected torus, cmesh, or xtorus"
-                    );
-                }
+                fabrics = flag_value(&args, &mut i, |v| {
+                    v.split(',')
+                        .map(|f| Topology::by_name(f.trim(), 64).map(|_| f.trim().to_string()))
+                        .collect()
+                })
             }
             "--protocols" => {
-                i += 1;
-                protocols = args
-                    .get(i)
-                    .and_then(|v| {
-                        v.split(',')
-                            .map(|s| s.trim().parse::<ProtocolKind>().ok())
-                            .collect()
-                    })
-                    .expect("--protocols NAME[,NAME...]");
+                protocols = flag_value(&args, &mut i, |v| {
+                    v.split(',').map(|s| s.trim().parse().ok()).collect()
+                })
             }
-            "--max-rss-mb" => {
-                i += 1;
-                max_rss_mb = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-rss-mb MB"),
-                );
-            }
+            "--max-rss-mb" => max_rss_mb = Some(flag_value(&args, &mut i, |v| v.parse().ok())),
             other => {
                 eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
+                usage();
             }
         }
         i += 1;

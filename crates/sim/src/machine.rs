@@ -4,10 +4,15 @@
 //!
 //! The machine's event space is partitioned into two planes:
 //!
-//! * **Plane A** — one [`CoreUnit`] per simulated core: instruction
-//!   execution, the private cache hierarchy, chunk windows, squash
-//!   handling, and the core-side injection port of the torus. Units
-//!   never touch each other's state within a superphase.
+//! * **Plane A** — one [`CoreUnit`] per simulated core, mirroring one
+//!   tile. A unit owns only its own state: the core's instruction
+//!   stream (the workload streams of the threads it runs — its own
+//!   thread, or every thread round-robin on a 1-core run), the private
+//!   cache hierarchy, the chunk window and squash handling, the
+//!   core-side injection port, its event queue and clock, its
+//!   statistics and its observation buffers. Units never touch each
+//!   other's state within a superphase; they share only the frozen page
+//!   map and, read-only, the directory modules.
 //! * **Plane B** — the serial [`Hub`]: the commit protocol, the
 //!   directory modules, and the directory-side injection ports. All
 //!   protocol serialization decisions are made here.
@@ -35,16 +40,18 @@
 //! mail is merged in a fixed (unit index, generation) order, and each
 //! unit's timing-adversary stream is seeded from its own index.
 //!
-//! Observability (causal flows, the chunk-lifecycle trace, the obs
-//! log) is recorded into per-plane buffers tagged with the superphase
-//! index and merged at the end of the run: flows get dense 1-based ids
-//! in merged order (parents always precede children), and cross-plane
-//! `delivered_at` patches are applied as max-merges.
+//! Both planes run the same scaffold: one same-cycle drain loop
+//! ([`next_event`]) and one observation [`Recorder`] each. Observability
+//! (causal flows, the chunk-lifecycle trace, the obs log) is recorded
+//! into per-plane buffers tagged with the superphase index and merged at
+//! the end of the run: flows get dense 1-based ids in merged order
+//! (parents always precede children), and cross-plane `delivered_at`
+//! patches are applied as max-merges.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sb_chunks::{ChunkSpec, ChunkTag, ChunkWindow, CommitRequest};
+use sb_chunks::{ChunkSpec, ChunkTag, ChunkWindow, CommitRequest, WindowSlot};
 use sb_engine::{Cycle, EventQueue, FxHashMap, FxHashSet};
 use sb_mem::{
     CacheHierarchy, CoreId, CoreSet, DirId, DirectoryState, HitLevel, LineAddr, PageMapper, TileSet,
@@ -58,7 +65,7 @@ use sb_sigs::{SigHandle, Signature};
 use sb_stats::{
     Breakdown, DirsPerCommit, LatencyDist, MetricsRegistry, PerfReport, SerializationGauges,
 };
-use sb_workloads::WorkloadGen;
+use sb_workloads::{CoreStreams, WorkloadGen};
 
 use crate::config::{InjectedBug, SimConfig};
 use crate::obs::{FlowEvent, FlowKind, ObsEvent, ObsKind, ObsLog};
@@ -85,6 +92,132 @@ fn resched<'s>(sched: &'s mut Option<&mut dyn Scheduler>) -> Option<&'s mut dyn 
     match sched {
         Some(s) => Some(&mut **s),
         None => None,
+    }
+}
+
+/// One step of the same-cycle drain loop both planes run: when `batch`
+/// is empty, refills it with exactly one cycle's events below `horizon`
+/// (`advance_until`'s choice-point contract, so a scheduler pick never
+/// reorders across cycles); then lets `sched` pick within a batch of
+/// more than one event, describing each by `meta`, and otherwise pops
+/// the front. `None` means nothing is left below `horizon`.
+fn next_event<E>(
+    queue: &mut EventQueue<E>,
+    batch: &mut VecDeque<(Cycle, E)>,
+    horizon: Cycle,
+    sched: Option<&mut dyn Scheduler>,
+    site: ChoiceSite,
+    meta: impl Fn(&E) -> ChoiceMeta,
+) -> Option<(Cycle, E)> {
+    if batch.is_empty() {
+        queue.advance_until(horizon, batch);
+    }
+    match sched {
+        Some(s) if batch.len() > 1 => {
+            let ready: Vec<ChoiceMeta> = batch.iter().map(|(_, e)| meta(e)).collect();
+            let i = s.choose(site, &ready).min(batch.len() - 1);
+            batch.remove(i)
+        }
+        _ => batch.pop_front(),
+    }
+}
+
+/// The observation recorder of one plane scheduler (a core unit or the
+/// hub): phase-tagged obs and causal-flow buffers, merged at the end of
+/// the run by [`Machine::merged_obs`]. Flow ids are provisional until
+/// then: `flow_base | local`, with `local` counting from 1.
+struct Recorder {
+    obs_on: bool,
+    /// Flow-id namespace: `(i+1) << FLOW_UNIT_SHIFT` for unit `i`, 0 for
+    /// the hub.
+    flow_base: u64,
+    obs_buf: Vec<(u64, ObsEvent)>,
+    flow_buf: Vec<(u64, FlowEvent)>,
+    /// `delivered_at` max-patches against flows another plane allocated.
+    flow_fixups: Vec<(FlowId, Cycle)>,
+    flow_next: u64,
+    /// The flow that caused the event being dispatched: the parent of
+    /// every flow recorded while handling it.
+    cur_cause: FlowId,
+    /// Superphase index stamped on everything recorded.
+    phase_tag: u64,
+}
+
+impl Recorder {
+    fn new(obs_on: bool, flow_base: u64) -> Self {
+        Recorder {
+            obs_on,
+            flow_base,
+            obs_buf: Vec::new(),
+            flow_buf: Vec::new(),
+            flow_fixups: Vec::new(),
+            flow_next: 0,
+            cur_cause: FlowId::NONE,
+            phase_tag: 0,
+        }
+    }
+
+    /// Starts dispatching an event caused by `cause` at handler time `t`,
+    /// and patches the cause's `delivered_at` up to `t` (the
+    /// critical-path exactness invariant): directly for own flows, via a
+    /// merge-time fixup for flows another plane allocated.
+    fn note_delivery(&mut self, cause: FlowId, t: Cycle) {
+        self.cur_cause = cause;
+        if !self.obs_on || cause.is_none() {
+            return;
+        }
+        if cause.0 >> FLOW_UNIT_SHIFT == self.flow_base >> FLOW_UNIT_SHIFT {
+            let f = &mut self.flow_buf[(cause.0 - self.flow_base - 1) as usize].1;
+            if f.delivered_at < t {
+                f.delivered_at = t;
+            }
+        } else {
+            self.flow_fixups.push((cause, t));
+        }
+    }
+
+    /// Allocates a causal-flow record in this recorder's namespace,
+    /// parented to the flow being dispatched. Returns [`FlowId::NONE`]
+    /// (and records nothing) when observability is off.
+    #[allow(clippy::too_many_arguments)]
+    fn flow(
+        &mut self,
+        kind: FlowKind,
+        label: &'static str,
+        tag: Option<ChunkTag>,
+        src: Endpoint,
+        dst: Endpoint,
+        sent_at: Cycle,
+        delivered_at: Cycle,
+        net: Option<sb_net::SendInfo>,
+    ) -> FlowId {
+        if !self.obs_on {
+            return FlowId::NONE;
+        }
+        self.flow_next += 1;
+        let id = FlowId(self.flow_base | self.flow_next);
+        self.flow_buf.push((
+            self.phase_tag,
+            FlowEvent {
+                id,
+                parent: self.cur_cause,
+                kind,
+                label,
+                tag,
+                src,
+                dst,
+                sent_at,
+                delivered_at,
+                net,
+            },
+        ));
+        id
+    }
+
+    fn push_obs(&mut self, at: Cycle, kind: ObsKind) {
+        if self.obs_on {
+            self.obs_buf.push((self.phase_tag, ObsEvent { at, kind }));
+        }
     }
 }
 
@@ -248,6 +381,14 @@ fn read_class(dirs: &[DirectoryState], home: DirId, line: LineAddr) -> TrafficCl
     }
 }
 
+/// The oldest in-flight chunk of `window` and the one after it, oldest
+/// first: the chunks a foreign W signature is disambiguated against.
+fn oldest_two(window: &ChunkWindow) -> impl Iterator<Item = &WindowSlot> {
+    let oldest = window.oldest();
+    let young = oldest.and_then(|o| window.get(o.chunk.tag().next()));
+    oldest.into_iter().chain(young)
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Running,
@@ -288,7 +429,6 @@ struct CoreCtx {
     epoch: u64,
     phase: Phase,
     committed_insns: u64,
-    target: u64,
     pending_commit: Option<PendingCommit>,
     /// A chunk that finished executing while an older chunk's commit was
     /// still in flight: chunks from one core commit in order, so its
@@ -300,7 +440,6 @@ struct CoreCtx {
     breakdown: Breakdown,
     /// Keyed-access only (never iterated) — safe to Fx-hash.
     invested: FxHashMap<ChunkTag, Invested>,
-    thread: usize,
     finished_at: Cycle,
 }
 
@@ -317,7 +456,8 @@ impl CoreCtx {
 }
 
 /// One plane-A scheduler: a core, its caches and chunk window, its own
-/// event queue, clock, injection port, workload stream, and statistics.
+/// event queue, clock, injection port, the workload streams of the
+/// threads it runs, and statistics.
 struct CoreUnit {
     core: u16,
     cfg: SimConfig,
@@ -330,7 +470,7 @@ struct CoreUnit {
     /// keeps injection-port state unit-local.
     net: Network,
     mapper: Arc<PageMapper>,
-    workload: WorkloadGen,
+    streams: CoreStreams,
     /// Mail to the hub, in generation order; drained at the phase edge.
     to_b: Vec<(Cycle, CoreToB)>,
     events: u64,
@@ -343,16 +483,9 @@ struct CoreUnit {
     latency: LatencyDist,
     dirs_stat: DirsPerCommit,
     // ---- phase-tagged observation buffers, merged at freeze ----
+    rec: Recorder,
     trace_on: bool,
-    obs_on: bool,
     trace_buf: Vec<(u64, TraceEvent)>,
-    obs_buf: Vec<(u64, ObsEvent)>,
-    flow_buf: Vec<(u64, FlowEvent)>,
-    /// `delivered_at` max-patches against flows another plane allocated.
-    flow_fixups: Vec<(FlowId, Cycle)>,
-    flow_next: u64,
-    cur_cause: FlowId,
-    phase_tag: u64,
     supports_held_invs: bool,
     finish_reported: bool,
 }
@@ -368,28 +501,15 @@ impl CoreUnit {
         dirs: &[DirectoryState],
         mut sched: Option<&mut dyn Scheduler>,
     ) {
-        loop {
-            if self.batch.is_empty() {
-                // `advance_until` refills with exactly one cycle's
-                // events (the choice-point contract), so a scheduler
-                // pick below never reorders across cycles.
-                self.queue.advance_until(horizon, &mut self.batch);
-            }
-            let next = match resched(&mut sched) {
-                Some(s) if self.batch.len() > 1 => {
-                    let ready: Vec<ChoiceMeta> = self
-                        .batch
-                        .iter()
-                        .map(|(_, e)| self.choice_meta(e))
-                        .collect();
-                    let i = s
-                        .choose(ChoiceSite::Core(self.core), &ready)
-                        .min(self.batch.len() - 1);
-                    self.batch.remove(i)
-                }
-                _ => self.batch.pop_front(),
-            };
-            let Some((at, ev)) = next else { break };
+        let core = self.core;
+        while let Some((at, ev)) = next_event(
+            &mut self.queue,
+            &mut self.batch,
+            horizon,
+            resched(&mut sched),
+            ChoiceSite::Core(core),
+            |e| Self::choice_meta(core, e),
+        ) {
             self.now = self.now.max_of(at);
             self.events += 1;
             self.dispatch(ev, dirs);
@@ -401,8 +521,8 @@ impl CoreUnit {
     /// the same core are dependent; the footprint's job is to describe
     /// the *shared* state a pick may touch (invalidation signatures,
     /// lines being filled) for cross-checking against hub events.
-    fn choice_meta(&self, ev: &AEv) -> ChoiceMeta {
-        let tile = TileSet::single(self.core);
+    fn choice_meta(core: u16, ev: &AEv) -> ChoiceMeta {
+        let tile = TileSet::single(core);
         let m = ChoiceMeta::at_tiles(
             match ev {
                 AEv::Step { .. } => "step",
@@ -414,7 +534,7 @@ impl CoreUnit {
             },
             tile,
         )
-        .at_core(self.core);
+        .at_core(core);
         match ev {
             AEv::ReadDone { line, .. } | AEv::StoreFill { line } => {
                 m.reads(AddrFootprint::Line(line.0))
@@ -428,8 +548,7 @@ impl CoreUnit {
     }
 
     fn dispatch(&mut self, ev: AEv, dirs: &[DirectoryState]) {
-        self.cur_cause = ev.cause();
-        self.note_delivery();
+        self.rec.note_delivery(ev.cause(), self.now);
         match ev {
             AEv::Step { epoch } => {
                 if self.ctx.epoch == epoch {
@@ -464,73 +583,9 @@ impl CoreUnit {
 
     // ----- observation plumbing ------------------------------------------
 
-    /// Patches the dispatched cause's `delivered_at` up to the handler
-    /// time (the critical-path exactness invariant): directly for own
-    /// flows, via a merge-time fixup for flows the hub allocated.
-    fn note_delivery(&mut self) {
-        let cause = self.cur_cause;
-        if !self.obs_on || cause.is_none() {
-            return;
-        }
-        let t = self.now;
-        let ns = (self.core as u64 + 1) << FLOW_UNIT_SHIFT;
-        if cause.0 >> FLOW_UNIT_SHIFT == self.core as u64 + 1 {
-            let f = &mut self.flow_buf[(cause.0 - ns - 1) as usize].1;
-            if f.delivered_at < t {
-                f.delivered_at = t;
-            }
-        } else {
-            self.flow_fixups.push((cause, t));
-        }
-    }
-
-    /// Allocates a causal-flow record in this unit's provisional
-    /// namespace, parented to the flow being dispatched. Returns
-    /// [`FlowId::NONE`] (and records nothing) when observability is off.
-    #[allow(clippy::too_many_arguments)]
-    fn flow(
-        &mut self,
-        kind: FlowKind,
-        label: &'static str,
-        tag: Option<ChunkTag>,
-        src: Endpoint,
-        dst: Endpoint,
-        sent_at: Cycle,
-        delivered_at: Cycle,
-        net: Option<sb_net::SendInfo>,
-    ) -> FlowId {
-        if !self.obs_on {
-            return FlowId::NONE;
-        }
-        self.flow_next += 1;
-        let id = FlowId(((self.core as u64 + 1) << FLOW_UNIT_SHIFT) | self.flow_next);
-        self.flow_buf.push((
-            self.phase_tag,
-            FlowEvent {
-                id,
-                parent: self.cur_cause,
-                kind,
-                label,
-                tag,
-                src,
-                dst,
-                sent_at,
-                delivered_at,
-                net,
-            },
-        ));
-        id
-    }
-
-    fn push_obs(&mut self, at: Cycle, kind: ObsKind) {
-        if self.obs_on {
-            self.obs_buf.push((self.phase_tag, ObsEvent { at, kind }));
-        }
-    }
-
     fn push_trace(&mut self, ev: TraceEvent) {
         if self.trace_on {
-            self.trace_buf.push((self.phase_tag, ev));
+            self.trace_buf.push((self.rec.phase_tag, ev));
         }
     }
 
@@ -541,11 +596,13 @@ impl CoreUnit {
     fn ensure_chunk(&mut self) -> bool {
         let t = self.now;
         let core = self.core;
+        // The core's budget: that of every thread it runs.
+        let target = self.cfg.insns_per_thread * self.streams.threads() as u64;
         let c = &mut self.ctx;
         if c.spec.is_some() {
             return true;
         }
-        let wants_work = !c.respec.is_empty() || c.committed_insns < c.target;
+        let wants_work = !c.respec.is_empty() || c.committed_insns < target;
         if !wants_work {
             if c.window.in_flight() == 0 && c.phase != Phase::Finished {
                 c.phase = Phase::Finished;
@@ -562,13 +619,7 @@ impl CoreUnit {
         }
         let spec = match c.respec.pop_front() {
             Some(s) => s,
-            None => {
-                if self.cfg.cores == 1 {
-                    self.workload.next_chunk_any()
-                } else {
-                    self.workload.next_chunk(c.thread)
-                }
-            }
+            None => self.streams.next_chunk(),
         };
         let c = &mut self.ctx;
         let (leading, per_gap) = spec.compute_gaps();
@@ -589,19 +640,17 @@ impl CoreUnit {
             if !self.ensure_chunk() {
                 return;
             }
-            let (access, gap, first, len) = {
+            let (access, gap, first) = {
                 let c = &self.ctx;
                 let spec = c.spec.as_ref().expect("ensured");
-                let len = spec.accesses().len();
-                if c.pos >= len {
-                    (None, 0, false, len)
-                } else {
-                    (Some(spec.accesses()[c.pos]), c.per_gap, c.pos == 0, len)
+                match spec.accesses().get(c.pos) {
+                    None => (None, 0, false),
+                    Some(&a) => (Some(a), c.per_gap, c.pos == 0),
                 }
             };
             let Some(access) = access else {
                 // Chunk finished executing (possibly with zero accesses).
-                self.finish_chunk(t, len);
+                self.finish_chunk(t);
                 continue;
             };
             // Non-memory instructions before this access, plus the access.
@@ -758,7 +807,7 @@ impl CoreUnit {
 
     // ----- commit lifecycle -----------------------------------------------
 
-    fn finish_chunk(&mut self, t: Cycle, _accesses: usize) {
+    fn finish_chunk(&mut self, t: Cycle) {
         let core = self.core;
         let (tag, req, spec) = {
             let c = &mut self.ctx;
@@ -787,14 +836,11 @@ impl CoreUnit {
             self.ctx.waiting_commit = Some(pending);
             return;
         }
-        if std::env::var_os("SB_TRACE_COMMIT").is_some() {
-            eprintln!("[commit] {} start at {}", tag, t);
-        }
         self.ctx.pending_commit = Some(pending);
         // Root the chunk's causal chain at the commit-request instant
         // (`started`, the origin of the recorded latency); the protocol
         // commands the hub issues parent to it across the plane boundary.
-        let cause = self.flow(
+        let cause = self.rec.flow(
             FlowKind::CommitStart,
             "commit start",
             Some(tag),
@@ -822,14 +868,6 @@ impl CoreUnit {
         }
         if success {
             let p = self.ctx.pending_commit.take().expect("matched");
-            if std::env::var_os("SB_TRACE_COMMIT").is_some() {
-                eprintln!(
-                    "[commit] {} success at {} (lat {})",
-                    tag,
-                    t,
-                    (t - p.started).as_u64()
-                );
-            }
             let inv = {
                 let c = &mut self.ctx;
                 let retired = c.window.retire_oldest();
@@ -837,7 +875,7 @@ impl CoreUnit {
                 c.committed_insns += p.spec.instructions();
                 c.invested.remove(&tag).unwrap_or_default()
             };
-            self.push_obs(
+            self.rec.push_obs(
                 t,
                 ObsKind::ChunkDone {
                     core,
@@ -884,7 +922,7 @@ impl CoreUnit {
                 // its causal chain gets a fresh root at `t` (still
                 // parented to the older chunk's success flow — truthful
                 // causality for the graph; the walk stops at the root).
-                let cause = self.flow(
+                let cause = self.rec.flow(
                     FlowKind::CommitStart,
                     "commit start",
                     Some(wtag),
@@ -917,7 +955,7 @@ impl CoreUnit {
                 }
             }
             if let Some(delay) = backoff {
-                let cause = self.flow(
+                let cause = self.rec.flow(
                     FlowKind::Backoff,
                     "retry backoff",
                     Some(tag),
@@ -952,7 +990,7 @@ impl CoreUnit {
         p.retry_scheduled = false;
         // Cheap: the request's signatures are shared handles.
         let req = p.req.clone();
-        let cause = self.cur_cause;
+        let cause = self.rec.cur_cause;
         self.to_b
             .push((self.now, CoreToB::CommitStart { req, cause }));
     }
@@ -968,7 +1006,7 @@ impl CoreUnit {
             c.breakdown.commit += cycles;
             c.phase = Phase::Running;
             let epoch = c.epoch;
-            self.push_obs(t, ObsKind::CommitStall { core, cycles });
+            self.rec.push_obs(t, ObsKind::CommitStall { core, cycles });
             self.queue.push(t, AEv::Step { epoch });
         } else if c.phase == Phase::Finished || c.spec.is_some() {
             // Running or already done — nothing to do.
@@ -1001,13 +1039,13 @@ impl CoreUnit {
             if self.supports_held_invs {
                 self.ctx.held_invs.push((from, tag, wsig));
                 let depth = self.ctx.held_invs.len() as u32;
-                self.push_obs(t, ObsKind::HeldInvDepth { core, depth });
+                self.rec.push_obs(t, ObsKind::HeldInvDepth { core, depth });
                 return;
             }
         }
         self.record_inv_processed(tag, from, &wsig);
-        if let Some((vtag, is_pending)) = victim {
-            aborted = self.squash(vtag, is_pending, &wsig);
+        if let Some((vtag, _)) = victim {
+            aborted = self.squash(vtag, &wsig);
         }
         self.send_ack(from, tag, aborted, t);
     }
@@ -1022,23 +1060,13 @@ impl CoreUnit {
         }
         let at = self.now;
         let core = self.core;
-        let c = &self.ctx;
-        let mut inflight = Vec::new();
-        if let Some(oldest) = c.window.oldest() {
-            let mut tags = vec![oldest.chunk.tag()];
-            if let Some(young) = c.window.get(oldest.chunk.tag().next()) {
-                tags.push(young.chunk.tag());
-            }
-            for vt in tags {
-                if let Some(s) = c.window.get(vt) {
-                    inflight.push(ChunkSnapshot {
-                        tag: vt,
-                        reads: s.chunk.read_set().iter().copied().collect(),
-                        writes: s.chunk.write_set().iter().copied().collect(),
-                    });
-                }
-            }
-        }
+        let inflight = oldest_two(&self.ctx.window)
+            .map(|s| ChunkSnapshot {
+                tag: s.chunk.tag(),
+                reads: s.chunk.read_set().iter().copied().collect(),
+                writes: s.chunk.write_set().iter().copied().collect(),
+            })
+            .collect();
         self.push_trace(TraceEvent::InvProcessed {
             core,
             committer,
@@ -1058,12 +1086,8 @@ impl CoreUnit {
         wsig: &Signature,
         inject: Option<InjectedBug>,
     ) -> Option<(ChunkTag, bool)> {
-        let oldest = c.window.oldest()?;
-        let mut slots = vec![oldest.chunk.tag()];
-        if let Some(young) = c.window.get(oldest.chunk.tag().next()) {
-            slots.push(young.chunk.tag());
-        }
-        for vt in slots {
+        for s in oldest_two(&c.window) {
+            let vt = s.chunk.tag();
             if vt == incoming {
                 continue;
             }
@@ -1074,21 +1098,20 @@ impl CoreUnit {
             // intersection. (Directory-side *group* checks remain
             // signature-intersection based, per §3.1 — a false positive
             // there only retries a commit.)
-            let conflicts = c.window.get(vt).is_some_and(|s| {
-                // Test-only sabotage (`sb-check` oracle self-test): drop
-                // the read set from the conflict check, letting
-                // write-after-read conflicts slip through un-squashed.
-                let reads = if matches!(inject, Some(InjectedBug::SkipReadSetConflicts)) {
-                    None
-                } else {
-                    Some(s.chunk.read_set().iter())
-                };
-                reads
-                    .into_iter()
-                    .flatten()
-                    .chain(s.chunk.write_set().iter())
-                    .any(|l| wsig.test(l.as_u64()))
-            });
+            //
+            // Test-only sabotage (`sb-check` oracle self-test): drop the
+            // read set from the conflict check, letting write-after-read
+            // conflicts slip through un-squashed.
+            let reads = if matches!(inject, Some(InjectedBug::SkipReadSetConflicts)) {
+                None
+            } else {
+                Some(s.chunk.read_set().iter())
+            };
+            let conflicts = reads
+                .into_iter()
+                .flatten()
+                .chain(s.chunk.write_set().iter())
+                .any(|l| wsig.test(l.as_u64()));
             if conflicts {
                 let in_flight = c.pending_commit.as_ref().is_some_and(|p| p.tag == vt);
                 return Some((vt, in_flight));
@@ -1109,7 +1132,7 @@ impl CoreUnit {
         // `sent_at` is `t` (before the core's ack-processing delay): the
         // decomposition then shows the delay as pre-send service, keeping
         // the flow's segments contiguous from cause to delivery.
-        let cause = self.flow(
+        let cause = self.rec.flow(
             FlowKind::BulkInvAck,
             "bulk inv ack",
             Some(tag),
@@ -1135,12 +1158,7 @@ impl CoreUnit {
 
     /// Squashes `vtag` (and younger) on this core. Returns the commit
     /// recall payload if an in-flight commit died.
-    fn squash(
-        &mut self,
-        vtag: ChunkTag,
-        was_pending: bool,
-        wsig: &Signature,
-    ) -> Option<AbortedCommit> {
+    fn squash(&mut self, vtag: ChunkTag, wsig: &Signature) -> Option<AbortedCommit> {
         let t = self.now;
         let core = self.core;
         let mut aborted = None;
@@ -1172,7 +1190,6 @@ impl CoreUnit {
             });
         }
         let c = &mut self.ctx;
-        let _ = was_pending;
         // Re-queue the squashed work in age order: the chunk with the
         // in-flight commit (carrying the recall), then a deferred-commit
         // chunk, then the executing chunk.
@@ -1203,7 +1220,7 @@ impl CoreUnit {
             c.breakdown.useful -= inv.useful;
             c.breakdown.cache_miss -= inv.cache;
             c.breakdown.squash += inv.useful + inv.cache;
-            self.push_obs(
+            self.rec.push_obs(
                 t,
                 ObsKind::ChunkDone {
                     core,
@@ -1226,7 +1243,7 @@ impl CoreUnit {
         };
         if let Some(cycles) = stall {
             self.ctx.breakdown.commit += cycles;
-            self.push_obs(t, ObsKind::CommitStall { core, cycles });
+            self.rec.push_obs(t, ObsKind::CommitStall { core, cycles });
         }
         self.ctx.phase = Phase::Running;
         self.ctx.pos = 0;
@@ -1235,7 +1252,7 @@ impl CoreUnit {
             // The squash killed an in-flight commit: its partially formed
             // group will be recalled (§3.4's lookout case).
             let atag = a.tag;
-            self.push_obs(t, ObsKind::CommitRecalled { tag: atag });
+            self.rec.push_obs(t, ObsKind::CommitRecalled { tag: atag });
         }
         aborted
     }
@@ -1250,7 +1267,7 @@ impl CoreUnit {
             let victim = Self::find_victim(&self.ctx, tag, &wsig, self.cfg.inject_bug);
             self.record_inv_processed(tag, from, &wsig);
             let aborted = match victim {
-                Some((vtag, is_pending)) => self.squash(vtag, is_pending, &wsig),
+                Some((vtag, _)) => self.squash(vtag, &wsig),
                 None => None,
             };
             self.send_ack(from, tag, aborted, t);
@@ -1286,13 +1303,7 @@ struct Hub<P: CommitProtocol> {
     /// seen yet (a core can react to mail in the very cycle it arrives —
     /// e.g. seal and commit-start a next chunk).
     hb: Cycle,
-    obs_on: bool,
-    obs_buf: Vec<(u64, ObsEvent)>,
-    flow_buf: Vec<(u64, FlowEvent)>,
-    flow_fixups: Vec<(FlowId, Cycle)>,
-    flow_next: u64,
-    cur_cause: FlowId,
-    phase_tag: u64,
+    rec: Recorder,
 }
 
 impl<P: CommitProtocol> Hub<P> {
@@ -1306,24 +1317,14 @@ impl<P: CommitProtocol> Hub<P> {
         mut sched: Option<&mut dyn Scheduler>,
     ) {
         self.hb = horizon;
-        loop {
-            if self.batch.is_empty() {
-                let hb = self.hb;
-                self.bq.advance_until(hb, &mut self.batch);
-            }
-            let next = match resched(&mut sched) {
-                Some(s) if self.batch.len() > 1 => {
-                    let ready: Vec<ChoiceMeta> = self
-                        .batch
-                        .iter()
-                        .map(|(_, e)| self.choice_meta(e))
-                        .collect();
-                    let i = s.choose(ChoiceSite::Hub, &ready).min(self.batch.len() - 1);
-                    self.batch.remove(i)
-                }
-                _ => self.batch.pop_front(),
-            };
-            let Some((at, ev)) = next else { break };
+        while let Some((at, ev)) = next_event(
+            &mut self.bq,
+            &mut self.batch,
+            self.hb,
+            resched(&mut sched),
+            ChoiceSite::Hub,
+            |e| Self::choice_meta(&self.mapper, &self.proto, e),
+        ) {
             self.dispatch(at, ev, dirs);
         }
     }
@@ -1333,7 +1334,7 @@ impl<P: CommitProtocol> Hub<P> {
     /// every protocol; protocol up-calls are per-tile only when the
     /// protocol declares its commit state directory-partitioned, and
     /// wire messages defer to [`CommitProtocol::msg_meta`].
-    fn choice_meta(&self, ev: &BEv<P::Msg>) -> ChoiceMeta {
+    fn choice_meta(mapper: &PageMapper, proto: &P, ev: &BEv<P::Msg>) -> ChoiceMeta {
         let bit = TileSet::single;
         match ev {
             BEv::FromCore(m) => match m {
@@ -1344,23 +1345,23 @@ impl<P: CommitProtocol> Hub<P> {
                     // *future* event whose same-cycle ordering is its
                     // own choice point, so the requester's tile is not
                     // part of this footprint.
-                    let home = self.mapper.home_frozen(*line);
+                    let home = mapper.home_frozen(*line);
                     ChoiceMeta::at_tiles("read@dir", bit(home.0)).reads(AddrFootprint::Line(line.0))
                 }
                 CoreToB::StoreAtDir { line, .. } => {
-                    let home = self.mapper.home_frozen(*line);
+                    let home = mapper.home_frozen(*line);
                     ChoiceMeta::at_tiles("store@dir", bit(home.0))
                         .writes(AddrFootprint::Line(line.0))
                 }
                 CoreToB::AckAtDir { ack, .. } => {
-                    if self.proto.per_dir_commit_state() {
+                    if proto.per_dir_commit_state() {
                         ChoiceMeta::at_tiles("inv-ack", bit(ack.dir.0)).with_tag(ack.tag)
                     } else {
                         ChoiceMeta::global("inv-ack").with_tag(ack.tag)
                     }
                 }
                 CoreToB::CommitStart { req, .. } => {
-                    if self.proto.per_dir_commit_state() {
+                    if proto.per_dir_commit_state() {
                         let mut tiles = bit(req.tag.core().0);
                         for d in req.g_vec.iter() {
                             tiles.insert(d.0);
@@ -1382,7 +1383,7 @@ impl<P: CommitProtocol> Hub<P> {
             BEv::StoreServe { line, from, .. } => {
                 ChoiceMeta::at_tiles("store-serve", bit(from.0)).writes(AddrFootprint::Line(line.0))
             }
-            BEv::Proto { dst, msg, .. } => self.proto.msg_meta(*dst, msg),
+            BEv::Proto { dst, msg, .. } => proto.msg_meta(*dst, msg),
         }
     }
 
@@ -1396,13 +1397,12 @@ impl<P: CommitProtocol> Hub<P> {
     fn dispatch(&mut self, at: Cycle, ev: BEv<P::Msg>, dirs: &mut [DirectoryState]) {
         self.now = self.now.max_of(at);
         self.events += 1;
-        self.cur_cause = ev.cause();
-        self.note_delivery();
+        self.rec.note_delivery(ev.cause(), self.now);
         if self.events.is_multiple_of(1024) {
             // Hub-local depth sample (the units' queues are small and
             // bounded; the hub queue is where protocol storms pile up).
             let depth = (self.bq.len() + self.batch.len()) as u64;
-            self.push_obs(self.now, ObsKind::QueueDepth { depth });
+            self.rec.push_obs(self.now, ObsKind::QueueDepth { depth });
         }
         match ev {
             BEv::FromCore(m) => match m {
@@ -1587,6 +1587,42 @@ impl<P: CommitProtocol> Hub<P> {
         self.cmd_scratch = cmds;
     }
 
+    /// Sends a commit outcome from directory `from` to the committing core.
+    fn send_outcome(&mut self, core: CoreId, tag: ChunkTag, from: DirId, success: bool) {
+        let now = self.now;
+        let (arrive, info) = self.net.send_info(
+            now,
+            sb_net::NodeId(from.0),
+            sb_net::NodeId(core.0),
+            MsgSize::Small,
+            TrafficClass::SmallCMessage,
+        );
+        let (kind, label) = if success {
+            (FlowKind::CommitSuccess, "commit success")
+        } else {
+            (FlowKind::CommitFailure, "commit failure")
+        };
+        let cause = self.rec.flow(
+            kind,
+            label,
+            Some(tag),
+            Endpoint::Dir(from),
+            Endpoint::Core(core),
+            now,
+            arrive,
+            Some(info),
+        );
+        self.push_mail(
+            core.0,
+            arrive,
+            AEv::Outcome {
+                tag,
+                success,
+                cause,
+            },
+        );
+    }
+
     fn execute(&mut self, cmds: &mut Vec<Command<P::Msg>>, dirs: &mut [DirectoryState]) {
         let now = self.now;
         for cmd in cmds.drain(..) {
@@ -1605,7 +1641,7 @@ impl<P: CommitProtocol> Hub<P> {
                         size,
                         class,
                     );
-                    let cause = self.flow(
+                    let cause = self.rec.flow(
                         FlowKind::Proto,
                         P::msg_label(&msg),
                         P::msg_tag(&msg),
@@ -1618,7 +1654,7 @@ impl<P: CommitProtocol> Hub<P> {
                     self.bq.push(arrive, BEv::Proto { dst, msg, cause });
                 }
                 Command::After { delay, dst, msg } => {
-                    let cause = self.flow(
+                    let cause = self.rec.flow(
                         FlowKind::Timer,
                         P::msg_label(&msg),
                         P::msg_tag(&msg),
@@ -1631,60 +1667,10 @@ impl<P: CommitProtocol> Hub<P> {
                     self.bq.push(now + delay, BEv::Proto { dst, msg, cause });
                 }
                 Command::CommitSuccess { core, tag, from } => {
-                    let (arrive, info) = self.net.send_info(
-                        now,
-                        sb_net::NodeId(from.0),
-                        sb_net::NodeId(core.0),
-                        MsgSize::Small,
-                        TrafficClass::SmallCMessage,
-                    );
-                    let cause = self.flow(
-                        FlowKind::CommitSuccess,
-                        "commit success",
-                        Some(tag),
-                        Endpoint::Dir(from),
-                        Endpoint::Core(core),
-                        now,
-                        arrive,
-                        Some(info),
-                    );
-                    self.push_mail(
-                        core.0,
-                        arrive,
-                        AEv::Outcome {
-                            tag,
-                            success: true,
-                            cause,
-                        },
-                    );
+                    self.send_outcome(core, tag, from, true)
                 }
                 Command::CommitFailure { core, tag, from } => {
-                    let (arrive, info) = self.net.send_info(
-                        now,
-                        sb_net::NodeId(from.0),
-                        sb_net::NodeId(core.0),
-                        MsgSize::Small,
-                        TrafficClass::SmallCMessage,
-                    );
-                    let cause = self.flow(
-                        FlowKind::CommitFailure,
-                        "commit failure",
-                        Some(tag),
-                        Endpoint::Dir(from),
-                        Endpoint::Core(core),
-                        now,
-                        arrive,
-                        Some(info),
-                    );
-                    self.push_mail(
-                        core.0,
-                        arrive,
-                        AEv::Outcome {
-                            tag,
-                            success: false,
-                            cause,
-                        },
-                    );
+                    self.send_outcome(core, tag, from, false)
                 }
                 Command::BulkInv {
                     from,
@@ -1705,7 +1691,7 @@ impl<P: CommitProtocol> Hub<P> {
                         size,
                         class,
                     );
-                    let cause = self.flow(
+                    let cause = self.rec.flow(
                         FlowKind::BulkInv,
                         "bulk inv",
                         Some(tag),
@@ -1734,15 +1720,15 @@ impl<P: CommitProtocol> Hub<P> {
                     dirs[dir.idx()].apply_commit(&wsig, committer);
                 }
                 Command::Event(ev) => {
-                    if self.obs_on {
+                    if self.rec.obs_on {
                         match &ev {
                             ProtoEvent::DirGrabbed { dir, tag } => {
                                 let (dir, tag) = (*dir, *tag);
-                                self.push_obs(now, ObsKind::DirGrabbed { dir, tag });
+                                self.rec.push_obs(now, ObsKind::DirGrabbed { dir, tag });
                             }
                             ProtoEvent::DirReleased { dir, tag } => {
                                 let (dir, tag) = (*dir, *tag);
-                                self.push_obs(now, ObsKind::DirReleased { dir, tag });
+                                self.rec.push_obs(now, ObsKind::DirReleased { dir, tag });
                             }
                             _ => {}
                         }
@@ -1750,64 +1736,6 @@ impl<P: CommitProtocol> Hub<P> {
                     self.gauges.on_event(&ev);
                 }
             }
-        }
-    }
-
-    /// Mirror of [`CoreUnit::note_delivery`] for the hub's namespace.
-    fn note_delivery(&mut self) {
-        let cause = self.cur_cause;
-        if !self.obs_on || cause.is_none() {
-            return;
-        }
-        let t = self.now;
-        if cause.0 >> FLOW_UNIT_SHIFT == 0 {
-            let f = &mut self.flow_buf[(cause.0 - 1) as usize].1;
-            if f.delivered_at < t {
-                f.delivered_at = t;
-            }
-        } else {
-            self.flow_fixups.push((cause, t));
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn flow(
-        &mut self,
-        kind: FlowKind,
-        label: &'static str,
-        tag: Option<ChunkTag>,
-        src: Endpoint,
-        dst: Endpoint,
-        sent_at: Cycle,
-        delivered_at: Cycle,
-        net: Option<sb_net::SendInfo>,
-    ) -> FlowId {
-        if !self.obs_on {
-            return FlowId::NONE;
-        }
-        self.flow_next += 1;
-        let id = FlowId(self.flow_next);
-        self.flow_buf.push((
-            self.phase_tag,
-            FlowEvent {
-                id,
-                parent: self.cur_cause,
-                kind,
-                label,
-                tag,
-                src,
-                dst,
-                sent_at,
-                delivered_at,
-                net,
-            },
-        ));
-        id
-    }
-
-    fn push_obs(&mut self, at: Cycle, kind: ObsKind) {
-        if self.obs_on {
-            self.obs_buf.push((self.phase_tag, ObsEvent { at, kind }));
         }
     }
 }
@@ -1869,8 +1797,8 @@ impl<P: CommitProtocol> Machine<P> {
     /// and splits the state into per-core units plus the hub.
     pub fn new(cfg: SimConfig, proto: P) -> Self {
         let setup_start = std::time::Instant::now();
-        let mut workload = WorkloadGen::new(cfg.app, cfg.threads, cfg.seed);
-        let ctxs: Vec<CoreCtx> = (0..cfg.cores)
+        let workload = WorkloadGen::new(cfg.app, cfg.threads, cfg.seed);
+        let mut ctxs: Vec<CoreCtx> = (0..cfg.cores)
             .map(|i| CoreCtx {
                 window: ChunkWindow::new(CoreId(i), cfg.max_active_chunks, cfg.sig),
                 hier: CacheHierarchy::with_signature_config(cfg.hier, cfg.sig),
@@ -1883,18 +1811,12 @@ impl<P: CommitProtocol> Machine<P> {
                 epoch: 0,
                 phase: Phase::Running,
                 committed_insns: 0,
-                target: if cfg.cores == 1 {
-                    cfg.total_insns()
-                } else {
-                    cfg.insns_per_thread
-                },
                 pending_commit: None,
                 waiting_commit: None,
                 held_invs: Vec::new(),
                 commit_wait_since: None,
                 breakdown: Breakdown::new(),
                 invested: FxHashMap::default(),
-                thread: i as usize,
                 finished_at: Cycle::ZERO,
             })
             .collect();
@@ -1941,14 +1863,13 @@ impl<P: CommitProtocol> Machine<P> {
                 }
             }
         }
-        let mut ctxs = ctxs;
         // A steady-state thread has its private scratch resident in its
         // L2: pre-fill as much of it as one L2 can reasonably hold. A
         // partitioned problem scaled up for a 1-processor normalization
         // run overflows this on purpose (§6.1 superlinear mechanism).
         let l2_lines = cfg.hier.l2.capacity_lines() * 3 / 4;
         for i in 0..cfg.cores {
-            let (base, count) = workload.private_region(ctxs[i as usize].thread);
+            let (base, count) = workload.private_region(i as usize);
             let fill = count.min(l2_lines);
             for l in 0..fill {
                 let line = sb_mem::LineAddr(base.as_u64() + l);
@@ -1957,18 +1878,16 @@ impl<P: CommitProtocol> Machine<P> {
                 dirs[home.idx()].record_read(line, CoreId(i));
             }
         }
-        // Warm-up: execute a few chunks per thread "instantly" — fill the
+        // From here on each core owns only the streams of the threads it
+        // runs (thread `t` runs on core `t % cores`).
+        let mut streams = workload.split(cfg.cores as usize);
+        // Warm-up: execute a few chunks per core "instantly" — fill the
         // touched lines into the core's caches and register sharers —
         // so measurement starts from steady state rather than from the
         // compulsory-miss transient.
-        for i in 0..cfg.cores {
+        for (i, (core, s)) in (0..cfg.cores).zip(ctxs.iter_mut().zip(&mut streams)) {
             for _ in 0..cfg.warmup_chunks {
-                let spec = if cfg.cores == 1 {
-                    workload.next_chunk_any()
-                } else {
-                    workload.next_chunk(i as usize)
-                };
-                let core: &mut CoreCtx = &mut ctxs[i as usize];
+                let spec = s.next_chunk();
                 for a in spec.accesses() {
                     let home = mapper.home_of_line(a.line, CoreId(i));
                     core.hier.fill(a.line);
@@ -2003,18 +1922,13 @@ impl<P: CommitProtocol> Machine<P> {
             events: 0,
             mail: Vec::new(),
             hb: Cycle::MAX,
-            obs_on: cfg.obs.enabled,
-            obs_buf: Vec::new(),
-            flow_buf: Vec::new(),
-            flow_fixups: Vec::new(),
-            flow_next: 0,
-            cur_cause: FlowId::NONE,
-            phase_tag: 0,
+            rec: Recorder::new(cfg.obs.enabled, 0),
         };
         let units: Vec<CoreUnit> = ctxs
             .into_iter()
+            .zip(streams)
             .enumerate()
-            .map(|(i, ctx)| {
+            .map(|(i, (ctx, streams))| {
                 let mut queue = EventQueue::with_capacity(64);
                 queue.push(Cycle(0), AEv::Step { epoch: 0 });
                 CoreUnit {
@@ -2037,7 +1951,7 @@ impl<P: CommitProtocol> Machine<P> {
                         ),
                     },
                     mapper: Arc::clone(&mapper),
-                    workload: workload.clone(),
+                    streams,
                     to_b: Vec::new(),
                     events: 0,
                     remote_reads: 0,
@@ -2047,15 +1961,9 @@ impl<P: CommitProtocol> Machine<P> {
                     commit_retries: 0,
                     latency: LatencyDist::new(),
                     dirs_stat: DirsPerCommit::new(),
+                    rec: Recorder::new(cfg.obs.enabled, (i as u64 + 1) << FLOW_UNIT_SHIFT),
                     trace_on: cfg.trace,
-                    obs_on: cfg.obs.enabled,
                     trace_buf: Vec::new(),
-                    obs_buf: Vec::new(),
-                    flow_buf: Vec::new(),
-                    flow_fixups: Vec::new(),
-                    flow_next: 0,
-                    cur_cause: FlowId::NONE,
-                    phase_tag: 0,
                     supports_held_invs: held_ok,
                     finish_reported: false,
                 }
@@ -2143,23 +2051,20 @@ impl<P: CommitProtocol> Machine<P> {
             }
             // G: the earliest pending event anywhere. Mail is already in
             // the unit queues (delivered below), so two terms suffice.
-            let mut g = self.hub.bq.peek_time().unwrap_or(Cycle::MAX);
-            for u in &self.units {
-                if let Some(t) = u.queue.peek_time() {
-                    if t < g {
-                        g = t;
-                    }
-                }
-            }
-            if g == Cycle::MAX {
+            let Some(g) = self
+                .units_next()
+                .into_iter()
+                .chain(self.hub.bq.peek_time())
+                .min()
+            else {
                 return !drain && finished < total;
-            }
+            };
             let ha = g + margin;
             let pt = self.phase_ctr;
             let t_a = profile.then(std::time::Instant::now);
             for i in 0..total {
                 let u = &mut self.units[i];
-                u.phase_tag = pt;
+                u.rec.phase_tag = pt;
                 u.run_phase(ha, &self.dirs, resched(&mut sched));
                 for (at, m) in u.to_b.drain(..) {
                     self.hub.bq.push(at, BEv::FromCore(m));
@@ -2181,26 +2086,16 @@ impl<P: CommitProtocol> Machine<P> {
             if !drain && finished == total {
                 break;
             }
-            let mut hb0 = Cycle::MAX;
-            for u in &self.units {
-                if let Some(t) = u.queue.peek_time() {
-                    if t < hb0 {
-                        hb0 = t;
-                    }
-                }
-            }
-            self.hub.phase_tag = self.phase_ctr;
-            if profile {
-                let ev0 = self.hub.events;
-                let t = std::time::Instant::now();
-                self.hub.b_phase(hb0, &mut self.dirs, resched(&mut sched));
+            let hb0 = self.units_next().unwrap_or(Cycle::MAX);
+            self.hub.rec.phase_tag = self.phase_ctr;
+            let (ev0, t_b) = (self.hub.events, profile.then(std::time::Instant::now));
+            self.hub.b_phase(hb0, &mut self.dirs, resched(&mut sched));
+            if let Some(t) = t_b {
                 self.prof.b_busy_ns += t.elapsed().as_nanos() as u64;
                 self.prof.b_phases += 1;
                 if self.hub.events > ev0 {
                     self.prof.b_busy_phases += 1;
                 }
-            } else {
-                self.hub.b_phase(hb0, &mut self.dirs, resched(&mut sched));
             }
             let mut mail = std::mem::take(&mut self.hub.mail);
             for (core, at, ev) in mail.drain(..) {
@@ -2210,6 +2105,11 @@ impl<P: CommitProtocol> Machine<P> {
             self.phase_ctr += 1;
         }
         false
+    }
+
+    /// The earliest pending event over all unit queues.
+    fn units_next(&self) -> Option<Cycle> {
+        self.units.iter().filter_map(|u| u.queue.peek_time()).min()
     }
 
     fn panic_deadlock(&self) -> ! {
@@ -2305,22 +2205,22 @@ impl<P: CommitProtocol> Machine<P> {
     /// earlier in the same source buffer, so remapping in order always
     /// finds it — and cross-plane `delivered_at` fixups apply last.
     fn merged_obs(&mut self) -> ObsLog {
-        let n_events: usize =
-            self.units.iter().map(|u| u.obs_buf.len()).sum::<usize>() + self.hub.obs_buf.len();
-        let mut events: Vec<(u64, ObsEvent)> = Vec::with_capacity(n_events);
-        for u in &mut self.units {
-            events.append(&mut u.obs_buf);
+        let recs: Vec<&mut Recorder> = self
+            .units
+            .iter_mut()
+            .map(|u| &mut u.rec)
+            .chain([&mut self.hub.rec])
+            .collect();
+        let mut events = Vec::with_capacity(recs.iter().map(|r| r.obs_buf.len()).sum());
+        let mut tagged = Vec::with_capacity(recs.iter().map(|r| r.flow_buf.len()).sum());
+        let mut fixups: Vec<(FlowId, Cycle)> = Vec::new();
+        for r in recs {
+            events.append(&mut r.obs_buf);
+            tagged.append(&mut r.flow_buf);
+            fixups.append(&mut r.flow_fixups);
         }
-        events.append(&mut self.hub.obs_buf);
-        events.sort_by_key(|e| e.0);
-        let n_flows: usize =
-            self.units.iter().map(|u| u.flow_buf.len()).sum::<usize>() + self.hub.flow_buf.len();
-        let mut tagged: Vec<(u64, FlowEvent)> = Vec::with_capacity(n_flows);
-        for u in &mut self.units {
-            tagged.append(&mut u.flow_buf);
-        }
-        tagged.append(&mut self.hub.flow_buf);
-        tagged.sort_by_key(|e| e.0);
+        events.sort_by_key(|e: &(u64, ObsEvent)| e.0);
+        tagged.sort_by_key(|e: &(u64, FlowEvent)| e.0);
         let mut dense: FxHashMap<u64, u64> = FxHashMap::default();
         let mut flows: Vec<FlowEvent> = Vec::with_capacity(tagged.len());
         for (_, mut f) in tagged {
@@ -2336,11 +2236,6 @@ impl<P: CommitProtocol> Machine<P> {
             }
             flows.push(f);
         }
-        let mut fixups: Vec<(FlowId, Cycle)> = Vec::new();
-        for u in &mut self.units {
-            fixups.append(&mut u.flow_fixups);
-        }
-        fixups.append(&mut self.hub.flow_fixups);
         for (raw, t) in fixups {
             let idx = dense[&raw.0] as usize - 1;
             if flows[idx].delivered_at < t {

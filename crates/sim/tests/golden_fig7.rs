@@ -14,6 +14,7 @@
 //!
 //! and paste the printed table over `GOLDEN`.
 
+use sb_net::Topology;
 use sb_proto::ProtocolKind;
 use sb_sim::{run_simulation, SimConfig};
 use sb_workloads::AppProfile;
@@ -95,6 +96,45 @@ fn fig7_grid_matches_golden_snapshot() {
         }
     }
     assert_eq!(checked, GOLDEN.len(), "grid and golden table out of sync");
+}
+
+/// Past 64 cores: ScalableBulk FFT on 128 cores, one row per fabric.
+/// These runs exercise what the 16-core grid cannot reach — heap-spilled
+/// core sets (sharers numbered >= 64), sharded directory state and the
+/// wide unit walk — at a budget small enough for a debug build.
+const WIDE_CORES: u16 = 128;
+const WIDE_INSNS: u64 = 1_500;
+
+/// (fabric, wall_cycles, commits, total_messages)
+const WIDE_GOLDEN: &[(&str, u64, u64, u64)] =
+    &[("torus", 11903, 261, 12979), ("cmesh", 9885, 261, 13077)];
+
+fn run_wide(fabric: &str) -> (u64, u64, u64) {
+    let mut cfg =
+        SimConfig::paper_default(WIDE_CORES, AppProfile::fft(), ProtocolKind::ScalableBulk);
+    cfg.insns_per_thread = WIDE_INSNS;
+    cfg.set_topology(Topology::by_name(fabric, WIDE_CORES).expect("known fabric"));
+    let r = run_simulation(&cfg);
+    (r.wall_cycles, r.commits, r.traffic.total_messages())
+}
+
+#[test]
+fn wide_fft_matches_golden_snapshot() {
+    if std::env::var_os("SB_GOLDEN_PRINT").is_some() {
+        for fabric in ["torus", "cmesh"] {
+            let (w, c, m) = run_wide(fabric);
+            println!("    (\"{fabric}\", {w}, {c}, {m}),");
+        }
+        return;
+    }
+    for &(fabric, w, c, m) in WIDE_GOLDEN {
+        assert_eq!(
+            run_wide(fabric),
+            (w, c, m),
+            "{fabric}@{WIDE_CORES}: (wall_cycles, commits, total_messages) drifted from golden"
+        );
+    }
+    assert_eq!(WIDE_GOLDEN.len(), 2, "one row per fabric");
 }
 
 #[test]

@@ -15,8 +15,7 @@
 //! * [`TextTable`] — aligned text/CSV rendering used by the `figures`
 //!   binary.
 //! * [`PerfReport`] — host-side simulator throughput (events/sec,
-//!   sim-cycles/sec) behind the `profile` and `bench_json` binaries and
-//!   the criterion benches.
+//!   sim-cycles/sec) behind the `profile` and `bench_json` binaries.
 //! * [`MetricsRegistry`] — named counters/gauges/histograms registered
 //!   by the simulator (traffic per Table-1 class, phase wall times,
 //!   queue depths), merged across runs and dumped as deterministic

@@ -4,8 +4,7 @@
 //! module measures the *simulator* — how many discrete events and protocol
 //! steps the host dispatched, how long that took in wall time, and the
 //! derived throughput rates. The numbers feed the `profile` and
-//! `bench_json` binaries (and `BENCH_throughput.json`) and the criterion
-//! benches.
+//! `bench_json` binaries (and `BENCH_throughput.json`).
 //!
 //! A [`PerfReport`] never influences simulated results: it is built from
 //! monotonic host-side counters after the run completes.

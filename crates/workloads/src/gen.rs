@@ -31,8 +31,10 @@ const TOUCHES_PER_PRIVATE_LINE: u64 = 8;
 const TOUCHES_PER_SHARED_LINE: u64 = 6;
 const TOUCHES_PER_SCATTER_LINE: usize = 3;
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ThreadState {
+    /// The thread's index in its generator.
+    index: usize,
     rng: Xoshiro256,
     /// Streaming cursor over the private working set, in *touches*
     /// (``TOUCHES_PER_PRIVATE_LINE`` touches advance one line).
@@ -60,12 +62,10 @@ struct ThreadState {
 /// let mut g2 = WorkloadGen::new(AppProfile::fft(), 4, 42);
 /// assert_eq!(g2.next_chunk(0), chunk);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WorkloadGen {
     profile: AppProfile,
     threads: Vec<ThreadState>,
-    nthreads: usize,
-    rr_next: usize,
 }
 
 impl WorkloadGen {
@@ -78,21 +78,16 @@ impl WorkloadGen {
     pub fn new(profile: AppProfile, threads: usize, seed: u64) -> Self {
         assert!(threads > 0, "need at least one thread");
         let mut root = Xoshiro256::new(seed ^ fxhash(profile.name));
-        let nthreads = threads;
-        let threads_vec = (0..nthreads)
+        let threads = (0..threads)
             .map(|t| ThreadState {
+                index: t,
                 rng: root.fork(t as u64),
                 private_cursor: 0,
                 recent: VecDeque::with_capacity(RECENT_PAGES),
                 page_cursor: std::collections::HashMap::new(),
             })
             .collect();
-        WorkloadGen {
-            profile,
-            threads: threads_vec,
-            nthreads,
-            rr_next: 0,
-        }
+        WorkloadGen { profile, threads }
     }
 
     /// Pages of the shared (and, for scatter apps, bucket) pools. The
@@ -121,27 +116,87 @@ impl WorkloadGen {
         (sb_mem::LineAddr(base), lines)
     }
 
-    /// The profile being generated.
-    pub fn profile(&self) -> &AppProfile {
-        &self.profile
-    }
-
-    /// Number of threads.
-    pub fn threads(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Generates thread `t`'s next chunk.
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range.
     pub fn next_chunk(&mut self, t: usize) -> ChunkSpec {
-        let p = self.profile;
+        let nthreads = self.threads.len();
+        self.threads[t].next_chunk(self.profile, nthreads)
+    }
+
+    /// Splits the generator into `cores` disjoint stream sets: thread `t`
+    /// runs on core `t % cores`, so with one thread per core each set is
+    /// that core's own thread, and a 1-core run gets every thread. Each
+    /// stream keeps the state this generator gave it, so a set yields
+    /// exactly the chunks [`WorkloadGen::next_chunk`] would have.
+    ///
+    /// ```
+    /// use sb_workloads::{AppProfile, WorkloadGen};
+    ///
+    /// let mut whole = WorkloadGen::new(AppProfile::fft(), 2, 7);
+    /// let mut sets = WorkloadGen::new(AppProfile::fft(), 2, 7).split(1);
+    /// assert_eq!(sets[0].threads(), 2);
+    /// assert_eq!(sets[0].next_chunk(), whole.next_chunk(0));
+    /// assert_eq!(sets[0].next_chunk(), whole.next_chunk(1));
+    /// ```
+    pub fn split(self, cores: usize) -> Vec<CoreStreams> {
+        let nthreads = self.threads.len();
+        let mut sets: Vec<CoreStreams> = (0..cores)
+            .map(|_| CoreStreams {
+                profile: self.profile,
+                nthreads,
+                threads: Vec::new(),
+                next: 0,
+            })
+            .collect();
+        for st in self.threads {
+            sets[st.index % cores].threads.push(st);
+        }
+        sets
+    }
+}
+
+/// The chunk streams one core runs, split off a [`WorkloadGen`] by
+/// [`WorkloadGen::split`]. A core running several threads takes their
+/// chunks round-robin, in thread order.
+#[derive(Debug)]
+pub struct CoreStreams {
+    profile: AppProfile,
+    /// Thread count of the generator this set was split from (the write
+    /// shards are a function of it).
+    nthreads: usize,
+    threads: Vec<ThreadState>,
+    next: usize,
+}
+
+impl CoreStreams {
+    /// Number of threads this core runs.
+    pub fn threads(&self) -> usize {
+        self.threads.len()
+    }
+
+    /// The next chunk of the next thread in round-robin order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set holds no thread.
+    pub fn next_chunk(&mut self) -> ChunkSpec {
+        let i = self.next;
+        self.next = (i + 1) % self.threads.len();
+        self.threads[i].next_chunk(self.profile, self.nthreads)
+    }
+}
+
+impl ThreadState {
+    /// Generates this thread's next chunk; `nthreads` is the thread count
+    /// of the whole program.
+    fn next_chunk(&mut self, p: AppProfile, nthreads: usize) -> ChunkSpec {
+        let t = self.index;
         let private_lines = (p.private_ws_kb as u64 * 1024) / sb_mem::LINE_BYTES;
         let shared_pages = (p.shared_ws_kb as u64 * 1024) / PAGE_BYTES;
-        let st = &mut self.threads[t];
-        let rng = &mut st.rng;
+        let rng = &mut self.rng;
 
         // ±10% jitter on the chunk size; cache overflows and system calls
         // "can further reduce the average size" (§2.2) — modelled by the
@@ -200,7 +255,7 @@ impl WorkloadGen {
         // codes mostly write thread-owned tiles/buckets, so concurrent
         // write-write page collisions are rare; cross-thread conflicts
         // come from reads of other threads' pages and from the hot lines.
-        let nthreads = self.nthreads as u64;
+        let nthreads = nthreads as u64;
         let mut wpages: Vec<u64> = Vec::with_capacity(n_wpages);
         for _ in 0..n_wpages {
             for _attempt in 0..4 {
@@ -232,7 +287,7 @@ impl WorkloadGen {
         let mut rpages: Vec<u64> = Vec::with_capacity(n_rpages);
         for _ in 0..n_rpages {
             for _attempt in 0..4 {
-                let page = pick_shared_page(rng, &mut st.recent);
+                let page = pick_shared_page(rng, &mut self.recent);
                 if !rpages.contains(&page) {
                     rpages.push(page);
                     break;
@@ -256,15 +311,15 @@ impl WorkloadGen {
             if rng.gen_bool(p.private_frac) {
                 for _ in 0..run {
                     let line = private_base_line
-                        + (st.private_cursor / TOUCHES_PER_PRIVATE_LINE) % private_lines.max(1);
-                    st.private_cursor += 1;
+                        + (self.private_cursor / TOUCHES_PER_PRIVATE_LINE) % private_lines.max(1);
+                    self.private_cursor += 1;
                     accesses.push(MemAccess::read(LineAddr(line)));
                 }
             } else {
                 let page = rpages[rng.gen_range(rpages.len() as u64) as usize];
                 // Mostly continue consuming the page where we left off
                 // (hot lines); occasionally re-read an earlier offset.
-                let cur = st.page_cursor.entry(page).or_insert(0);
+                let cur = self.page_cursor.entry(page).or_insert(0);
                 let start = if rng.gen_bool(0.25) && *cur > 0 {
                     rng.gen_range(*cur)
                 } else {
@@ -302,8 +357,8 @@ impl WorkloadGen {
             if rng.gen_bool(p.private_frac * 0.6) {
                 // Private write (local page, local directory).
                 let line = private_base_line
-                    + (st.private_cursor / TOUCHES_PER_PRIVATE_LINE) % private_lines.max(1);
-                st.private_cursor += 1;
+                    + (self.private_cursor / TOUCHES_PER_PRIVATE_LINE) % private_lines.max(1);
+                self.private_cursor += 1;
                 accesses.push(MemAccess::write(LineAddr(line)));
                 writes_left -= 1;
                 continue;
@@ -321,7 +376,7 @@ impl WorkloadGen {
                 let run = rng
                     .gen_run_len((p.seq_run / 2.0).max(1.0))
                     .min(writes_left as u64);
-                let cur = st.page_cursor.entry(page).or_insert(0);
+                let cur = self.page_cursor.entry(page).or_insert(0);
                 let start = *cur;
                 *cur = (*cur + run / TOUCHES_PER_SHARED_LINE + 1) % PAGE_WINDOW;
                 for i in 0..run {
@@ -352,14 +407,6 @@ impl WorkloadGen {
         }
         let insns = insns.max(accesses.len() as u64);
         ChunkSpec::new(insns, accesses)
-    }
-
-    /// Round-robin across threads: used by the single-processor
-    /// normalization runs, where one core executes every thread's work.
-    pub fn next_chunk_any(&mut self) -> ChunkSpec {
-        let t = self.rr_next;
-        self.rr_next = (self.rr_next + 1) % self.threads.len();
-        self.next_chunk(t)
     }
 }
 
@@ -479,17 +526,6 @@ mod tests {
         let (can_w, can_r) = stats("Canneal");
         assert!(can_r > can_w, "Canneal is read-dominated ({can_w}/{can_r})");
         assert!(can_w + can_r > 5.0, "Canneal groups are wide");
-    }
-
-    #[test]
-    fn round_robin_covers_all_threads() {
-        let mut g = WorkloadGen::new(AppProfile::vips(), 3, 2);
-        // Consume 3 chunks round-robin; compare against per-thread stream.
-        let mut g2 = WorkloadGen::new(AppProfile::vips(), 3, 2);
-        let rr: Vec<ChunkSpec> = (0..3).map(|_| g.next_chunk_any()).collect();
-        for (t, c) in rr.iter().enumerate() {
-            assert_eq!(*c, g2.next_chunk(t));
-        }
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!   squashes at 64 processors).
 //!
 //! [`WorkloadGen`] turns a profile into deterministic per-thread chunk
-//! streams ([`sb_chunks::ChunkSpec`]), with a single-thread mode used for
-//! the 1-processor normalization runs of Figures 7–8.
+//! streams ([`sb_chunks::ChunkSpec`]). [`WorkloadGen::split`] hands each
+//! core the [`CoreStreams`] it runs: its own thread, or — in the
+//! 1-processor normalization runs of Figures 7–8 — every thread,
+//! round-robin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,5 +32,5 @@
 mod gen;
 mod profiles;
 
-pub use gen::WorkloadGen;
+pub use gen::{CoreStreams, WorkloadGen};
 pub use profiles::{AppProfile, Suite};

@@ -104,6 +104,27 @@ impl QueueTierStats {
     }
 }
 
+/// Where the earliest pending cycle lives, as found by one occupancy
+/// bitmap scan and one heap peek ([`EventQueue::head`]).
+#[derive(Clone, Copy)]
+enum Head {
+    /// The whole cycle sits in its ring bucket.
+    Ring(u64),
+    /// The whole cycle sits in the far heap.
+    Far(u64),
+    /// The cycle spans tiers (a ring/far tie) or is behind the cursor:
+    /// drained by merging pops.
+    Mixed(u64),
+}
+
+impl Head {
+    fn cycle(self) -> u64 {
+        match self {
+            Head::Ring(t) | Head::Far(t) | Head::Mixed(t) => t,
+        }
+    }
+}
+
 /// A future-event list with deterministic FIFO tie-breaking.
 ///
 /// Unlike a plain `BinaryHeap<(Cycle, E)>`, two events pushed for the same
@@ -317,20 +338,31 @@ impl<E> EventQueue<E> {
     /// assert_eq!(q.peek_time(), Some(Cycle(2)));
     /// ```
     pub fn peek_time(&self) -> Option<Cycle> {
+        self.head().map(|h| Cycle(h.cycle()))
+    }
+
+    /// Locates the earliest pending cycle with a single bitmap scan and
+    /// a single heap peek; `None` if the queue is empty.
+    #[inline]
+    fn head(&self) -> Option<Head> {
         if self.len == 0 {
             return None;
         }
-        let mut best: Option<u64> = self.past.peek().map(|e| e.at.as_u64());
-        if best.is_none() {
-            // past entries are strictly earlier than ring/far ones, so
-            // the other tiers only matter when `past` is empty.
-            best = self.ring_min();
-            if let Some(f) = self.far.peek() {
-                let f = f.at.as_u64();
-                best = Some(best.map_or(f, |b| b.min(f)));
-            }
+        // past entries are strictly earlier than ring/far ones, so the
+        // other tiers only matter when `past` is empty.
+        if let Some(e) = self.past.peek() {
+            return Some(Head::Mixed(e.at.as_u64()));
         }
-        best.map(Cycle)
+        let far_t = self.far.peek().map(|e| e.at.as_u64());
+        Some(match (self.ring_min(), far_t) {
+            (Some(t), None) => Head::Ring(t),
+            (None, Some(f)) => Head::Far(f),
+            (Some(t), Some(f)) if t < f => Head::Ring(t),
+            (Some(t), Some(f)) if f < t => Head::Far(f),
+            // Tied at the same cycle across ring and far heap.
+            (Some(t), Some(_)) => Head::Mixed(t),
+            (None, None) => unreachable!("len > 0 with all tiers empty"),
+        })
     }
 
     /// The cycle of the earliest pending event (alias of [`peek_time`]
@@ -396,53 +428,52 @@ impl<E> EventQueue<E> {
     /// assert_eq!(q.len(), 1);
     /// ```
     pub fn drain_cycle(&mut self, out: &mut VecDeque<(Cycle, E)>) -> Option<Cycle> {
-        if self.len == 0 {
-            return None;
-        }
-        // Fast path: no past events, and the earliest cycle lives entirely
-        // in one tier. This is the per-event hot loop, so the earliest
-        // cycle is found with a single bitmap scan and a single heap peek.
-        if self.past.is_empty() {
-            let far_t = self.far.peek().map(|e| e.at.as_u64());
-            match (self.ring_min(), far_t) {
-                (Some(t), f) if f.is_none_or(|f| f > t) => {
-                    let idx = (t & MASK) as usize;
-                    let c = Cycle(t);
-                    let bucket = &mut self.ring[idx];
-                    let n = bucket.len();
-                    if n == 1 {
-                        // Dominant case in real runs: one event per cycle.
-                        let (_, e) = bucket.pop_front().expect("occupied bucket");
-                        out.push_back((c, e));
-                    } else {
-                        out.extend(bucket.drain(..).map(|(_, e)| (c, e)));
-                    }
-                    self.occupied[idx / 64] &= !(1u64 << (idx % 64));
-                    self.ring_len -= n;
-                    self.len -= n;
-                    self.cursor = t;
-                    return Some(c);
+        let head = self.head()?;
+        Some(self.drain_head(head, out))
+    }
+
+    /// Pops every event of the cycle `head` located, in FIFO order.
+    fn drain_head(&mut self, head: Head, out: &mut VecDeque<(Cycle, E)>) -> Cycle {
+        match head {
+            // Fast paths: the earliest cycle lives entirely in one tier.
+            Head::Ring(t) => {
+                let idx = (t & MASK) as usize;
+                let c = Cycle(t);
+                let bucket = &mut self.ring[idx];
+                let n = bucket.len();
+                if n == 1 {
+                    // Dominant case in real runs: one event per cycle.
+                    let (_, e) = bucket.pop_front().expect("occupied bucket");
+                    out.push_back((c, e));
+                } else {
+                    out.extend(bucket.drain(..).map(|(_, e)| (c, e)));
                 }
-                (rc, Some(f)) if rc.is_none_or(|t| t > f) => {
-                    // Heap pops already come out in (cycle, seq) order.
-                    while self.far.peek().is_some_and(|e| e.at.as_u64() == f) {
-                        let e = self.far.pop().expect("peeked");
-                        self.len -= 1;
-                        out.push_back((e.at, e.payload));
-                    }
-                    self.cursor = f;
-                    return Some(Cycle(f));
+                self.occupied[idx / 64] &= !(1u64 << (idx % 64));
+                self.ring_len -= n;
+                self.len -= n;
+                self.cursor = t;
+                c
+            }
+            Head::Far(f) => {
+                // Heap pops already come out in (cycle, seq) order.
+                while self.far.peek().is_some_and(|e| e.at.as_u64() == f) {
+                    let e = self.far.pop().expect("peeked");
+                    self.len -= 1;
+                    out.push_back((e.at, e.payload));
                 }
-                _ => {} // ring/far tied at the same cycle
+                self.cursor = f;
+                Cycle(f)
+            }
+            // Slow path (ties across tiers, past events): pop one by one —
+            // `pop` already merges sources in exact (cycle, seq) order.
+            Head::Mixed(t) => {
+                let c = Cycle(t);
+                while self.peek_time() == Some(c) {
+                    out.push_back(self.pop().expect("peeked"));
+                }
+                c
             }
         }
-        // Slow path (ties across tiers, past events): pop one by one —
-        // `pop` already merges sources in exact (cycle, seq) order.
-        let c = self.peek_time()?;
-        while self.peek_time() == Some(c) {
-            out.push_back(self.pop().expect("peeked"));
-        }
-        Some(c)
     }
 
     /// Horizon-bounded drain: pops every event of the earliest pending
@@ -479,10 +510,11 @@ impl<E> EventQueue<E> {
         horizon: Cycle,
         out: &mut VecDeque<(Cycle, E)>,
     ) -> Option<Cycle> {
-        if self.peek_time()? >= horizon {
+        let head = self.head()?;
+        if head.cycle() >= horizon.as_u64() {
             return None;
         }
-        self.drain_cycle(out)
+        Some(self.drain_head(head, out))
     }
 
     /// Number of pending events.

@@ -7,8 +7,9 @@
 //!
 //! Runs one simulation with `cfg.obs.profile` on (independent of the
 //! observability log — profiling alone allocates nothing per event) and
-//! prints where the *host* time went: superphase count, plane-A
-//! (core-unit walk) busy time, hub-plane utilization and busy time, the
+//! prints where the *host* time went: superphase count, plane-A busy
+//! time, core-unit visits (units handed an A phase, with events
+//! dispatched per visit), hub-plane utilization and busy time, the
 //! calendar queue's tier occupancy/overflow counters, and peak RSS.
 //!
 //! Profiling never touches simulated state: wall cycles and commits are
@@ -112,6 +113,11 @@ fn main() {
         c("prof.drain_superphases")
     );
     println!("core plane A: {:.6}s busy", g("prof.domain_busy_secs.d0"));
+    let visits = c("prof.unit_visits");
+    println!(
+        "unit visits: {visits} ({:.2} events dispatched per visit)",
+        r.perf.events_dispatched as f64 / visits.max(1) as f64
+    );
     println!(
         "hub plane B: busy {}/{} phases (utilization {:.3}), {:.6}s",
         c("prof.hub_busy_phases"),

@@ -25,15 +25,22 @@
 //!
 //! * `G` = the earliest pending event anywhere (hub queue and unit
 //!   queues, which already hold all delivered mail);
-//! * the A phase lets every unit drain events strictly below
+//! * the A phase lets each unit drain its events strictly below
 //!   `G + margin`, where `margin = fixed_overhead.max(1)` — any hub→core
 //!   message sent at or after `G` arrives at `G + fixed_overhead` at the
 //!   earliest (contention and perturbation only *add* delay; the
 //!   `sb-net` property tests pin this floor on every fabric);
 //! * the B phase then drains the hub strictly below the earliest
-//!   unit-side pending event, dynamically clamped to each hub→core
+//!   unit-side pending event `hb0`, dynamically clamped to each hub→core
 //!   mail arrival it generates, so the hub never runs past a message a
 //!   unit still has to see.
+//!
+//! The loop keeps an active-unit index ([`UnitIndex`], a min-tree over
+//! every unit's next-event time) instead of walking all units: `G` and
+//! `hb0` are read off its root, and the A phase visits only the units
+//! with an event below `G + margin`, in ascending unit index. A skipped
+//! unit would have drained nothing, so superphase cost follows the
+//! active units, not the core count.
 //!
 //! During an A phase units only read the directory modules (frozen at
 //! the phase boundary); the hub mutates them during the B phase. All
@@ -1740,6 +1747,80 @@ impl<P: CommitProtocol> Hub<P> {
     }
 }
 
+/// The superphase loop's active-unit index: a flat binary min-tree over
+/// every core unit's next-event time, `Cycle::MAX` for an empty queue.
+/// Leaves sit at `[width, width + units)`, node `i` holds the min of
+/// nodes `2i` and `2i + 1`, and node 1 is the root; nodes past the last
+/// unit stay `Cycle::MAX`.
+struct UnitIndex {
+    width: usize,
+    tree: Vec<Cycle>,
+}
+
+impl UnitIndex {
+    /// Builds the index from each unit's next-event time, in unit order.
+    fn new(next: impl ExactSizeIterator<Item = Option<Cycle>>) -> Self {
+        let width = next.len().next_power_of_two();
+        let mut tree = vec![Cycle::MAX; 2 * width];
+        for (u, t) in next.enumerate() {
+            tree[width + u] = t.unwrap_or(Cycle::MAX);
+        }
+        for i in (1..width).rev() {
+            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+        }
+        UnitIndex { width, tree }
+    }
+
+    /// The earliest next-event time over all units.
+    fn min(&self) -> Cycle {
+        self.tree[1]
+    }
+
+    /// Re-keys unit `u` to `next` after it ran (its next event may have
+    /// moved either way). Stops at the first ancestor that keeps its value.
+    fn set(&mut self, u: usize, next: Option<Cycle>) {
+        let mut i = self.width + u;
+        self.tree[i] = next.unwrap_or(Cycle::MAX);
+        while i > 1 {
+            i /= 2;
+            let m = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            if self.tree[i] == m {
+                break;
+            }
+            self.tree[i] = m;
+        }
+    }
+
+    /// Records an event pushed into unit `u`'s queue at `at`: its
+    /// next-event time can only fall.
+    fn lower(&mut self, u: usize, at: Cycle) {
+        let mut i = self.width + u;
+        while i > 0 && at < self.tree[i] {
+            self.tree[i] = at;
+            i /= 2;
+        }
+    }
+
+    /// Appends every unit whose next event lies strictly below `horizon`
+    /// to `out`, in ascending unit index, descending only into subtrees
+    /// whose minimum is below it.
+    fn below(&self, horizon: Cycle, out: &mut Vec<usize>) {
+        self.collect(1, horizon, out);
+    }
+
+    fn collect(&self, node: usize, horizon: Cycle, out: &mut Vec<usize>) {
+        if self.tree[node] >= horizon {
+            return;
+        }
+        if node >= self.width {
+            out.push(node - self.width);
+        } else {
+            self.collect(2 * node, horizon, out);
+            self.collect(2 * node + 1, horizon, out);
+        }
+    }
+}
+
 /// Host-side self-profiling accumulators for the two-plane executor.
 /// Only populated when [`ObsConfig::profile`](crate::ObsConfig) is on;
 /// otherwise the run loops pay at most one branch per superphase.
@@ -1751,7 +1832,11 @@ struct Prof {
     superphases: u64,
     /// Superphases executed in the post-run observability drain.
     drain_superphases: u64,
-    /// Plane-A (core-unit walk) busy wall-nanoseconds.
+    /// Core units handed to `run_phase`, drain included. Every visit
+    /// dispatches at least one event, so this never exceeds the unit
+    /// event count.
+    unit_visits: u64,
+    /// Plane-A (active core units) busy wall-nanoseconds.
     a_busy_ns: u64,
     /// Hub B-phase busy wall-nanoseconds.
     b_busy_ns: u64,
@@ -2045,27 +2130,34 @@ impl<P: CommitProtocol> Machine<P> {
         let total = self.units.len();
         let profile = self.cfg.obs.profile;
         let mut finished = self.units.iter().filter(|u| u.finish_reported).count();
+        let mut index = UnitIndex::new(self.units.iter().map(|u| u.queue.peek_time()));
+        let mut active = Vec::new();
         loop {
             if !drain && finished == total {
                 break;
             }
             // G: the earliest pending event anywhere. Mail is already in
             // the unit queues (delivered below), so two terms suffice.
-            let Some(g) = self
-                .units_next()
-                .into_iter()
-                .chain(self.hub.bq.peek_time())
+            let g = index
                 .min()
-            else {
+                .min(self.hub.bq.peek_time().unwrap_or(Cycle::MAX));
+            if g == Cycle::MAX {
                 return !drain && finished < total;
-            };
+            }
             let ha = g + margin;
             let pt = self.phase_ctr;
             let t_a = profile.then(std::time::Instant::now);
-            for i in 0..total {
+            // Ascending unit order keeps the `to_b` merge into the hub
+            // queue (and its FIFO sequence numbers) deterministic.
+            active.clear();
+            index.below(ha, &mut active);
+            for &i in &active {
                 let u = &mut self.units[i];
                 u.rec.phase_tag = pt;
+                let ev0 = u.events;
                 u.run_phase(ha, &self.dirs, resched(&mut sched));
+                debug_assert!(u.events > ev0, "unit {i} visited with nothing to do");
+                index.set(i, u.queue.peek_time());
                 for (at, m) in u.to_b.drain(..) {
                     self.hub.bq.push(at, BEv::FromCore(m));
                 }
@@ -2076,6 +2168,7 @@ impl<P: CommitProtocol> Machine<P> {
             }
             if let Some(t) = t_a {
                 self.prof.a_busy_ns += t.elapsed().as_nanos() as u64;
+                self.prof.unit_visits += active.len() as u64;
                 if drain {
                     self.prof.drain_superphases += 1;
                 } else {
@@ -2086,7 +2179,7 @@ impl<P: CommitProtocol> Machine<P> {
             if !drain && finished == total {
                 break;
             }
-            let hb0 = self.units_next().unwrap_or(Cycle::MAX);
+            let hb0 = index.min();
             self.hub.rec.phase_tag = self.phase_ctr;
             let (ev0, t_b) = (self.hub.events, profile.then(std::time::Instant::now));
             self.hub.b_phase(hb0, &mut self.dirs, resched(&mut sched));
@@ -2100,16 +2193,12 @@ impl<P: CommitProtocol> Machine<P> {
             let mut mail = std::mem::take(&mut self.hub.mail);
             for (core, at, ev) in mail.drain(..) {
                 self.units[core as usize].queue.push(at, ev);
+                index.lower(core as usize, at);
             }
             self.hub.mail = mail;
             self.phase_ctr += 1;
         }
         false
-    }
-
-    /// The earliest pending event over all unit queues.
-    fn units_next(&self) -> Option<Cycle> {
-        self.units.iter().filter_map(|u| u.queue.peek_time()).min()
     }
 
     fn panic_deadlock(&self) -> ! {
@@ -2380,6 +2469,7 @@ impl<P: CommitProtocol> Machine<P> {
             let p = &self.prof;
             reg.add_counter("prof.superphases", p.superphases);
             reg.add_counter("prof.drain_superphases", p.drain_superphases);
+            reg.add_counter("prof.unit_visits", p.unit_visits);
             reg.add_counter("prof.hub_phases", p.b_phases);
             reg.add_counter("prof.hub_busy_phases", p.b_busy_phases);
             reg.set_gauge(
@@ -2409,5 +2499,77 @@ impl<P: CommitProtocol> Machine<P> {
             }
         }
         reg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::UnitIndex;
+    use proptest::prelude::*;
+    use sb_engine::Cycle;
+
+    /// A random next-event time: dense small cycles so ties and horizon
+    /// edges are common, and an empty queue one time in eight.
+    fn time(raw: u64) -> Option<Cycle> {
+        (!raw.is_multiple_of(8)).then_some(Cycle(raw / 8 % 48))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The min-tree against a brute-force scan over a plain vector:
+        /// after every `set`, `lower` or descent, `min()` is the minimum
+        /// over all units and `below` lists exactly the units under the
+        /// horizon, in ascending index.
+        #[test]
+        fn unit_index_matches_brute_force(
+            size in any::<u64>(),
+            init in proptest::collection::vec(any::<u64>(), 130..131),
+            ops in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..120),
+        ) {
+            // 1..=130 units, with the edge sizes (one unit, powers of two
+            // and their neighbours) drawn a quarter of the time.
+            const EDGES: [usize; 9] = [1, 2, 3, 63, 64, 65, 128, 129, 130];
+            let units = if size.is_multiple_of(4) {
+                EDGES[(size / 4 % EDGES.len() as u64) as usize]
+            } else {
+                1 + (size / 4 % 130) as usize
+            };
+            let mut reference: Vec<Cycle> = init[..units]
+                .iter()
+                .map(|&r| time(r).unwrap_or(Cycle::MAX))
+                .collect();
+            let mut index = UnitIndex::new(init[..units].iter().map(|&r| time(r)));
+            let mut out = Vec::new();
+            for (kind, unit, raw) in ops {
+                let u = (unit % units as u64) as usize;
+                match kind % 3 {
+                    0 => {
+                        let t = time(raw);
+                        index.set(u, t);
+                        reference[u] = t.unwrap_or(Cycle::MAX);
+                    }
+                    1 => {
+                        let at = Cycle(raw % 48);
+                        index.lower(u, at);
+                        reference[u] = reference[u].min(at);
+                    }
+                    _ => {
+                        let horizon = Cycle(raw % 56);
+                        out.clear();
+                        index.below(horizon, &mut out);
+                        let want: Vec<usize> =
+                            (0..units).filter(|&i| reference[i] < horizon).collect();
+                        prop_assert_eq!(&out, &want);
+                    }
+                }
+                let min = reference.iter().copied().min().expect("at least one unit");
+                prop_assert_eq!(index.min(), min);
+            }
+            out.clear();
+            index.below(Cycle::MAX, &mut out);
+            let live: Vec<usize> = (0..units).filter(|&i| reference[i] < Cycle::MAX).collect();
+            prop_assert_eq!(out, live);
+        }
     }
 }

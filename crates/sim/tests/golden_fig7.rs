@@ -101,13 +101,17 @@ fn fig7_grid_matches_golden_snapshot() {
 /// Past 64 cores: ScalableBulk FFT on 128 cores, one row per fabric.
 /// These runs exercise what the 16-core grid cannot reach — heap-spilled
 /// core sets (sharers numbered >= 64), sharded directory state and the
-/// wide unit walk — at a budget small enough for a debug build.
+/// active-unit index over a wide machine — at a budget small enough for a
+/// debug build.
 const WIDE_CORES: u16 = 128;
 const WIDE_INSNS: u64 = 1_500;
 
 /// (fabric, wall_cycles, commits, total_messages)
-const WIDE_GOLDEN: &[(&str, u64, u64, u64)] =
-    &[("torus", 11903, 261, 12979), ("cmesh", 9885, 261, 13077)];
+const WIDE_GOLDEN: &[(&str, u64, u64, u64)] = &[
+    ("torus", 11903, 261, 12979),
+    ("cmesh", 9885, 261, 13077),
+    ("xtorus", 9632, 261, 13064),
+];
 
 fn run_wide(fabric: &str) -> (u64, u64, u64) {
     let mut cfg =
@@ -121,7 +125,7 @@ fn run_wide(fabric: &str) -> (u64, u64, u64) {
 #[test]
 fn wide_fft_matches_golden_snapshot() {
     if std::env::var_os("SB_GOLDEN_PRINT").is_some() {
-        for fabric in ["torus", "cmesh"] {
+        for &(fabric, ..) in WIDE_GOLDEN {
             let (w, c, m) = run_wide(fabric);
             println!("    (\"{fabric}\", {w}, {c}, {m}),");
         }
@@ -134,7 +138,7 @@ fn wide_fft_matches_golden_snapshot() {
             "{fabric}@{WIDE_CORES}: (wall_cycles, commits, total_messages) drifted from golden"
         );
     }
-    assert_eq!(WIDE_GOLDEN.len(), 2, "one row per fabric");
+    assert_eq!(WIDE_GOLDEN.len(), 3, "one row per fabric");
 }
 
 #[test]

@@ -11,9 +11,10 @@ use sb_sim::{run_simulation, RunResult, SimConfig};
 use sb_workloads::AppProfile;
 
 /// Counters a profiled run emits.
-const COUNTERS: [&str; 7] = [
+const COUNTERS: [&str; 8] = [
     "prof.superphases",
     "prof.drain_superphases",
+    "prof.unit_visits",
     "prof.hub_phases",
     "prof.hub_busy_phases",
     "prof.queue.ring_pushes",
@@ -93,11 +94,31 @@ fn profiled_run_emits_exactly_the_pinned_prof_keys() {
         m.counter("prof.drain_superphases").unwrap() > 0,
         "traced run drains"
     );
+    assert!(m.counter("prof.unit_visits").unwrap() > 0);
     assert!(m.counter("prof.hub_phases").unwrap() > 0);
     assert!(m.counter("prof.hub_busy_phases").unwrap() <= m.counter("prof.hub_phases").unwrap());
     assert!(m.counter("prof.queue.ring_pushes").unwrap() > 0);
     assert!(m.gauge("prof.domain_busy_secs.d0").unwrap() > 0.0);
     assert!(m.gauge("prof.hub_busy_secs").unwrap() > 0.0);
+}
+
+/// The superphase loop visits only units with an event below the
+/// horizon, so visits are bounded by the work done, not by superphases ×
+/// cores. Counts work, never times it.
+#[test]
+fn unit_visits_never_exceed_dispatched_events_on_a_wide_machine() {
+    let mut cfg = SimConfig::paper_default(256, AppProfile::fft(), ProtocolKind::ScalableBulk);
+    cfg.insns_per_thread = 500;
+    cfg.obs.profile = true;
+    let r = run_simulation(&cfg);
+    let m = &r.metrics;
+    let visits = m.counter("prof.unit_visits").unwrap();
+    let dispatched = m.counter("events.dispatched").unwrap();
+    assert!(visits > 0);
+    assert!(
+        visits <= dispatched,
+        "{visits} unit visits for {dispatched} dispatched events"
+    );
 }
 
 #[test]

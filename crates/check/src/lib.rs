@@ -20,7 +20,7 @@
 //! (The issue sketched the bin under `sb-sim`; it lives here because the
 //! oracle depends on `sb-sim`, not the other way around.)
 //!
-//! Each run's [`RunTrace`] is validated by an oracle that is independent
+//! Each run's [`RunTrace`](sb_sim::RunTrace) is validated by an oracle that is independent
 //! of the machine's own conflict logic (see [`verify_result`]):
 //!
 //! * **serializability** — commit order is a valid serial order iff no

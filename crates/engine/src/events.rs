@@ -64,7 +64,7 @@ impl<E> Ord for Entry<E> {
 /// this).
 ///
 /// `ring` is the direct-mapped near-future bucket ring (the O(1) fast
-/// path), `far` the overflow heap for events ≥ [`RING`] cycles ahead,
+/// path), `far` the overflow heap for events ≥ `RING` cycles ahead,
 /// `past` the behind-cursor heap (empty in a monotone simulation). A
 /// large `far_pushes` share or a non-zero `past_pushes` means the event
 /// mix has outgrown the ring tuning.

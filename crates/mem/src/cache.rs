@@ -1,9 +1,9 @@
 //! A set-associative cache model with LRU replacement.
 
-use sb_engine::FxHashMap;
-use sb_sigs::{bank_hash, Signature, SignatureConfig};
+use sb_sigs::{Signature, SignatureConfig};
 
 use crate::addr::{LineAddr, LINE_BYTES};
+use crate::sigindex::SigIndex;
 
 /// Geometry of one cache level.
 ///
@@ -64,22 +64,21 @@ impl CacheConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Way {
     line: LineAddr,
-    dirty: bool,
     /// Monotonic timestamp of last access (for LRU).
     lru: u64,
 }
 
-/// A set-associative, LRU, write-allocate cache.
+/// A set-associative, LRU, allocate-on-fill cache.
 ///
-/// The model tracks tags and dirtiness only — there is no data array, since
-/// the protocol layer never needs values, only presence. A hash-map shadow
-/// index gives O(1) lookups; the per-set `Vec` keeps replacement exact.
+/// The model tracks tags only — there is no data array, since the protocol
+/// layer never needs values, only presence. The per-set way lists are the
+/// one tag store: lookups scan the line's set (at most `assoc` ways), and
+/// each set is allocated on its first fill.
 ///
 /// For bulk invalidation the cache also keeps an inverted bank-0 signature
-/// index over its resident tags (bank-0 bit position → resident lines
-/// hashing to it), so expanding a W signature visits only the buckets of
-/// the signature's set bits instead of the full tag array. See
-/// [`SetAssocCache::push_matching`].
+/// index over its resident tags, so expanding a W signature visits only
+/// the buckets of the signature's set bits instead of the full tag array.
+/// See [`SetAssocCache::push_matching`].
 ///
 /// # Examples
 ///
@@ -87,21 +86,17 @@ struct Way {
 /// use sb_mem::{CacheConfig, SetAssocCache, LineAddr};
 ///
 /// let mut c = SetAssocCache::new(CacheConfig { size_bytes: 1024, assoc: 2 });
-/// assert!(!c.access(LineAddr(1), false));
-/// c.fill(LineAddr(1), false);
-/// assert!(c.access(LineAddr(1), false));
+/// assert!(!c.access(LineAddr(1)));
+/// c.fill(LineAddr(1));
+/// assert!(c.access(LineAddr(1)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     sets: Vec<Vec<Way>>,
-    index: FxHashMap<LineAddr, usize>,
-    /// Geometry of the W signatures the inverted index serves; expansions
-    /// with any other geometry fall back to a full tag scan.
-    sig_cfg: SignatureConfig,
-    /// Inverted index: bank-0 bit position → resident lines hashing to it.
-    /// Every resident line appears in exactly one bucket.
-    buckets: Vec<Vec<LineAddr>>,
+    /// Inverted bank-0 index over exactly the resident lines.
+    sig_index: SigIndex,
+    resident: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -121,9 +116,8 @@ impl SetAssocCache {
         SetAssocCache {
             cfg,
             sets: vec![Vec::with_capacity(cfg.assoc as usize); nsets],
-            index: FxHashMap::default(),
-            sig_cfg: sig,
-            buckets: vec![Vec::new(); sig.bits_per_bank() as usize],
+            sig_index: SigIndex::new(sig),
+            resident: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -135,28 +129,15 @@ impl SetAssocCache {
         (line.as_u64() % self.sets.len() as u64) as usize
     }
 
-    #[inline]
-    fn bucket_of(&self, line: LineAddr) -> usize {
-        bank_hash(line.as_u64(), 0, self.sig_cfg.bits_per_bank()) as usize
-    }
-
-    fn bucket_remove(&mut self, line: LineAddr) {
-        let bucket = self.bucket_of(line);
-        let b = &mut self.buckets[bucket];
-        let pos = b.iter().position(|&l| l == line).expect("indexed line");
-        b.swap_remove(pos);
-    }
-
-    /// Looks a line up, updating LRU and (for writes) the dirty bit.
-    /// Returns `true` on hit. Does **not** allocate on miss; call
-    /// [`SetAssocCache::fill`] when the fill response arrives.
-    pub fn access(&mut self, line: LineAddr, write: bool) -> bool {
+    /// Looks a line up, updating LRU on a hit. Returns `true` on hit. Does
+    /// **not** allocate on miss; call [`SetAssocCache::fill`] when the fill
+    /// response arrives.
+    pub fn access(&mut self, line: LineAddr) -> bool {
         self.tick += 1;
         let set = self.set_of(line);
         let tick = self.tick;
         if let Some(way) = self.sets[set].iter_mut().find(|w| w.line == line) {
             way.lru = tick;
-            way.dirty |= write;
             self.hits += 1;
             true
         } else {
@@ -167,17 +148,17 @@ impl SetAssocCache {
 
     /// Peeks without perturbing LRU or counters.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.index.contains_key(&line)
+        self.sets[self.set_of(line)].iter().any(|w| w.line == line)
     }
 
-    /// Installs a line, evicting the LRU way if the set is full.
-    /// Returns the evicted line and whether it was dirty, if any.
-    pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<(LineAddr, bool)> {
+    /// Installs a line, evicting the LRU way if the set is full. Returns
+    /// the evicted line, if any. Filling a resident line only refreshes
+    /// its LRU stamp.
+    pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
         self.tick += 1;
         let set = self.set_of(line);
         if let Some(way) = self.sets[set].iter_mut().find(|w| w.line == line) {
             way.lru = self.tick;
-            way.dirty |= dirty;
             return None;
         }
         let mut victim = None;
@@ -188,86 +169,58 @@ impl SetAssocCache {
                 .min_by_key(|(_, w)| w.lru)
                 .expect("full set has ways");
             let v = self.sets[set].swap_remove(vi);
-            self.index.remove(&v.line);
-            self.bucket_remove(v.line);
+            self.sig_index.remove(v.line);
             self.evictions += 1;
-            victim = Some((v.line, v.dirty));
+            self.resident -= 1;
+            victim = Some(v.line);
         }
         self.sets[set].push(Way {
             line,
-            dirty,
             lru: self.tick,
         });
-        self.index.insert(line, set);
-        let bucket = self.bucket_of(line);
-        self.buckets[bucket].push(line);
+        self.sig_index.insert(line);
+        self.resident += 1;
         victim
     }
 
     /// Removes a line (coherence invalidation). Returns whether it was
     /// present.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        if let Some(set) = self.index.remove(&line) {
-            if let Some(pos) = self.sets[set].iter().position(|w| w.line == line) {
-                self.sets[set].swap_remove(pos);
-                self.bucket_remove(line);
-                return true;
-            }
-        }
-        false
+        let set = self.set_of(line);
+        let Some(pos) = self.sets[set].iter().position(|w| w.line == line) else {
+            return false;
+        };
+        self.sets[set].swap_remove(pos);
+        self.sig_index.remove(line);
+        self.resident -= 1;
+        true
     }
 
-    /// Marks a resident line clean (e.g. after a write-back). No-op if the
-    /// line is absent.
-    pub fn clean(&mut self, line: LineAddr) {
-        if let Some(&set) = self.index.get(&line) {
-            if let Some(way) = self.sets[set].iter_mut().find(|w| w.line == line) {
-                way.dirty = false;
-            }
-        }
-    }
-
-    /// Whether a resident line is dirty (`None` if absent).
-    pub fn is_dirty(&self, line: LineAddr) -> Option<bool> {
-        let set = *self.index.get(&line)?;
-        self.sets[set]
-            .iter()
-            .find(|w| w.line == line)
-            .map(|w| w.dirty)
-    }
-
-    /// Iterates over all resident line addresses (the tag array), used when
-    /// expanding a W signature against this cache for bulk invalidation.
+    /// Iterates over all resident line addresses (the tag array).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.index.keys().copied()
+        self.sets.iter().flatten().map(|w| w.line)
     }
 
     /// Appends every resident line matching `wsig` to `out` (signature
-    /// expansion against the tag array). Uses the inverted bank-0 index
-    /// when `wsig` has the geometry this cache was built for, and falls
-    /// back to a full tag scan otherwise.
+    /// expansion against the tag array, through the inverted bank-0
+    /// index).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wsig`'s geometry differs from the one this cache was
+    /// built for.
     pub fn push_matching(&self, wsig: &Signature, out: &mut Vec<LineAddr>) {
-        if wsig.config() == self.sig_cfg {
-            for bit in wsig.bank_set_bits(0) {
-                out.extend(
-                    self.buckets[bit as usize]
-                        .iter()
-                        .filter(|l| wsig.test(l.as_u64())),
-                );
-            }
-        } else {
-            out.extend(self.index.keys().filter(|l| wsig.test(l.as_u64())));
-        }
+        out.extend(self.sig_index.matching(wsig));
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.resident
     }
 
     /// Whether the cache holds no lines.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.resident == 0
     }
 
     /// (hits, misses, evictions) since construction.
@@ -296,9 +249,9 @@ mod tests {
     #[test]
     fn miss_then_fill_then_hit() {
         let mut c = tiny();
-        assert!(!c.access(LineAddr(0), false));
-        assert_eq!(c.fill(LineAddr(0), false), None);
-        assert!(c.access(LineAddr(0), false));
+        assert!(!c.access(LineAddr(0)));
+        assert_eq!(c.fill(LineAddr(0)), None);
+        assert!(c.access(LineAddr(0)));
         let (h, m, _) = c.counters();
         assert_eq!((h, m), (1, 1));
     }
@@ -307,55 +260,42 @@ mod tests {
     fn lru_evicts_least_recent() {
         let mut c = tiny();
         // Lines 0, 2, 4 all map to set 0 (2 sets).
-        c.fill(LineAddr(0), false);
-        c.fill(LineAddr(2), false);
-        c.access(LineAddr(0), false); // 0 is now MRU
-        let victim = c.fill(LineAddr(4), false);
-        assert_eq!(victim, Some((LineAddr(2), false)));
+        c.fill(LineAddr(0));
+        c.fill(LineAddr(2));
+        c.access(LineAddr(0)); // 0 is now MRU
+        let victim = c.fill(LineAddr(4));
+        assert_eq!(victim, Some(LineAddr(2)));
         assert!(c.contains(LineAddr(0)));
         assert!(c.contains(LineAddr(4)));
         assert!(!c.contains(LineAddr(2)));
     }
 
     #[test]
-    fn dirty_eviction_reported() {
-        let mut c = tiny();
-        c.fill(LineAddr(0), false);
-        c.access(LineAddr(0), true); // dirty it
-        c.fill(LineAddr(2), false);
-        c.access(LineAddr(2), false);
-        c.access(LineAddr(2), false); // make 0 the LRU
-        let victim = c.fill(LineAddr(4), false);
-        assert_eq!(victim, Some((LineAddr(0), true)));
-    }
-
-    #[test]
     fn refill_of_resident_line_updates_not_evicts() {
         let mut c = tiny();
-        c.fill(LineAddr(0), false);
-        assert_eq!(c.fill(LineAddr(0), true), None);
-        assert_eq!(c.is_dirty(LineAddr(0)), Some(true));
-        assert_eq!(c.len(), 1);
+        c.fill(LineAddr(0));
+        c.fill(LineAddr(2));
+        assert_eq!(c.fill(LineAddr(0)), None);
+        assert_eq!(c.len(), 2);
+        // The refill made 0 the MRU way, so 2 is the victim.
+        assert_eq!(c.fill(LineAddr(4)), Some(LineAddr(2)));
     }
 
     #[test]
-    fn invalidate_and_clean() {
+    fn invalidate_removes_line() {
         let mut c = tiny();
-        c.fill(LineAddr(3), true);
-        assert_eq!(c.is_dirty(LineAddr(3)), Some(true));
-        c.clean(LineAddr(3));
-        assert_eq!(c.is_dirty(LineAddr(3)), Some(false));
+        c.fill(LineAddr(3));
         assert!(c.invalidate(LineAddr(3)));
         assert!(!c.invalidate(LineAddr(3)));
-        assert_eq!(c.is_dirty(LineAddr(3)), None);
+        assert!(!c.contains(LineAddr(3)));
         assert!(c.is_empty());
     }
 
     #[test]
     fn resident_lines_matches_contents() {
         let mut c = tiny();
-        c.fill(LineAddr(1), false);
-        c.fill(LineAddr(3), false);
+        c.fill(LineAddr(1));
+        c.fill(LineAddr(3));
         let mut lines: Vec<_> = c.resident_lines().collect();
         lines.sort();
         assert_eq!(lines, vec![LineAddr(1), LineAddr(3)]);
@@ -365,7 +305,7 @@ mod tests {
     fn capacity_never_exceeded() {
         let mut c = tiny();
         for i in 0..100 {
-            c.fill(LineAddr(i), false);
+            c.fill(LineAddr(i));
         }
         assert!(c.len() <= c.config().capacity_lines() as usize);
         let (_, _, ev) = c.counters();
@@ -376,12 +316,9 @@ mod tests {
     fn push_matching_agrees_with_full_scan() {
         let mut c = SetAssocCache::new(CacheConfig::paper_l2());
         for i in 0..500u64 {
-            c.fill(LineAddr(i * 5 + 2), false);
+            c.fill(LineAddr(i * 5 + 2));
         }
-        let wsig = sb_sigs::Signature::from_lines(
-            sb_sigs::SignatureConfig::paper_default(),
-            [7u64, 252, 1_000_003],
-        );
+        let wsig = Signature::from_lines(SignatureConfig::paper_default(), [7u64, 252, 1_000_003]);
         let mut indexed = Vec::new();
         c.push_matching(&wsig, &mut indexed);
         indexed.sort_unstable();
@@ -391,14 +328,15 @@ mod tests {
             .collect();
         brute.sort_unstable();
         assert_eq!(indexed, brute);
+    }
 
-        // A mismatched signature geometry falls back to the full scan.
-        let other =
-            sb_sigs::Signature::from_lines(sb_sigs::SignatureConfig::new(1024, 4), [7u64, 252]);
-        let mut fallback = Vec::new();
-        c.push_matching(&other, &mut fallback);
-        assert!(fallback.contains(&LineAddr(7)));
-        assert!(fallback.contains(&LineAddr(252)));
+    #[test]
+    #[should_panic(expected = "geometry differs")]
+    fn push_matching_rejects_mismatched_geometry() {
+        let mut c = SetAssocCache::new(CacheConfig::paper_l2());
+        c.fill(LineAddr(7));
+        let other = Signature::from_lines(SignatureConfig::new(1024, 4), [7u64]);
+        c.push_matching(&other, &mut Vec::new());
     }
 
     #[test]
@@ -414,36 +352,100 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Brute-force LRU reference: per set, an explicit list of resident
+    /// `(line, stamp)` pairs, where the stamp is the operation count at
+    /// the line's last touch.
+    struct RefLru {
+        assoc: usize,
+        sets: Vec<Vec<(LineAddr, u64)>>,
+        now: u64,
+    }
+
+    impl RefLru {
+        fn new(nsets: usize, assoc: usize) -> Self {
+            RefLru {
+                assoc,
+                sets: vec![Vec::new(); nsets],
+                now: 0,
+            }
+        }
+
+        fn set(&mut self, line: LineAddr) -> &mut Vec<(LineAddr, u64)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line.0 % n) as usize]
+        }
+
+        fn access(&mut self, line: LineAddr) -> bool {
+            self.now += 1;
+            let now = self.now;
+            match self.set(line).iter_mut().find(|(l, _)| *l == line) {
+                Some(entry) => {
+                    entry.1 = now;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+            if self.access(line) {
+                return None;
+            }
+            let (now, assoc) = (self.now, self.assoc);
+            let set = self.set(line);
+            let mut victim = None;
+            if set.len() == assoc {
+                let oldest = (0..set.len()).min_by_key(|&i| set[i].1).unwrap();
+                victim = Some(set.remove(oldest).0);
+            }
+            set.push((line, now));
+            victim
+        }
+
+        fn invalidate(&mut self, line: LineAddr) -> bool {
+            let set = self.set(line);
+            let before = set.len();
+            set.retain(|(l, _)| *l != line);
+            set.len() != before
+        }
+
+        fn contains(&self, line: LineAddr) -> bool {
+            self.sets.iter().flatten().any(|(l, _)| *l == line)
+        }
+
+        fn len(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
     proptest! {
-        /// The shadow index and the per-set arrays always agree, and
-        /// occupancy never exceeds capacity.
+        /// The cache agrees with the reference LRU on every hit, victim,
+        /// presence and occupancy, on small geometries (1–4 sets × 1–4
+        /// ways), and its signature index tracks exactly the resident
+        /// lines.
         #[test]
-        fn prop_cache_invariants(ops in proptest::collection::vec((any::<u8>(), 0u64..64), 1..500)) {
-            let mut c = SetAssocCache::new(CacheConfig { size_bytes: 8 * LINE_BYTES, assoc: 2 });
+        fn prop_cache_matches_reference_lru(
+            nsets in 1u64..5,
+            assoc in 1u32..5,
+            ops in proptest::collection::vec((0u8..3, 0u64..20), 1..400),
+        ) {
+            let mut c = SetAssocCache::new(CacheConfig {
+                size_bytes: nsets * assoc as u64 * LINE_BYTES,
+                assoc,
+            });
+            let mut r = RefLru::new(nsets as usize, assoc as usize);
             for (op, line) in ops {
                 let line = LineAddr(line);
-                match op % 3 {
-                    0 => { c.access(line, op % 2 == 0); },
-                    1 => { c.fill(line, false); },
-                    _ => { c.invalidate(line); },
+                match op {
+                    0 => prop_assert_eq!(c.access(line), r.access(line)),
+                    1 => prop_assert_eq!(c.fill(line), r.fill(line)),
+                    _ => prop_assert_eq!(c.invalidate(line), r.invalidate(line)),
                 }
-                prop_assert!(c.len() <= 8);
-                // Index and sets agree.
-                let from_sets: usize = c.sets.iter().map(|s| s.len()).sum();
-                prop_assert_eq!(from_sets, c.len());
-                for l in c.resident_lines().collect::<Vec<_>>() {
-                    prop_assert!(c.contains(l));
+                prop_assert_eq!(c.len(), r.len());
+                for l in 0..20 {
+                    prop_assert_eq!(c.contains(LineAddr(l)), r.contains(LineAddr(l)));
                 }
-                // The inverted signature index tracks exactly the
-                // resident lines, each in its bank-0 bucket.
-                let from_buckets: usize = c.buckets.iter().map(|b| b.len()).sum();
-                prop_assert_eq!(from_buckets, c.len());
-                for (bit, b) in c.buckets.iter().enumerate() {
-                    for l in b {
-                        prop_assert!(c.contains(*l));
-                        prop_assert_eq!(c.bucket_of(*l), bit);
-                    }
-                }
+                prop_assert_eq!(c.sig_index.check_bucket_placement(), c.len());
             }
         }
     }

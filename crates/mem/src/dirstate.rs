@@ -11,19 +11,18 @@
 //! commit makes each participating directory match a W signature against its
 //! tracked lines. A naive scan touches every tracked line (tens of thousands
 //! at steady state) to find the handful that match, so the directory also
-//! maintains an *inverted bank-0 index*: for each bit position of the
-//! signature's finest-grained bank, the tracked lines hashing to it. A line
-//! can only pass [`Signature::test`] if its bank-0 bit is set, so expansion
-//! visits just the buckets of the signature's set bank-0 bits and full-tests
-//! each candidate — identical results, orders of magnitude fewer probes.
+//! keeps the tracked lines in an inverted bank-0 signature index, the same
+//! one the caches use for `bulk inv`: expansion visits just the buckets of
+//! the signature's set bank-0 bits and full-tests each candidate.
 
 use std::collections::hash_map::Entry;
 
 use sb_engine::FxHashMap;
-use sb_sigs::{bank_hash, Signature, SignatureConfig};
+use sb_sigs::{Signature, SignatureConfig};
 
 use crate::addr::LineAddr;
 use crate::ids::{CoreId, CoreSet};
+use crate::sigindex::SigIndex;
 
 /// Per-line directory information.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -40,6 +39,11 @@ pub struct LineDirInfo {
 }
 
 /// Sharer/owner bookkeeping for the lines homed at one directory module.
+///
+/// The W-signature expansions ([`DirectoryState::sharers_matching`],
+/// [`DirectoryState::lines_matching`], [`DirectoryState::apply_commit`])
+/// panic if the signature's geometry differs from the one the directory
+/// was built for.
 ///
 /// # Examples
 ///
@@ -61,13 +65,8 @@ pub struct DirectoryState {
     /// pick the shard; iteration-order-sensitive callers sort (or fold
     /// into order-insensitive sets), so results are shard-invariant.
     lines: [FxHashMap<LineAddr, LineDirInfo>; LINE_SHARDS],
-    /// The signature geometry the inverted index is keyed for. Expansions
-    /// with a signature of any *other* geometry fall back to a full scan
-    /// (only exercised by signature-size ablations).
-    sig_cfg: SignatureConfig,
-    /// Inverted index: bank-0 bit position → tracked lines hashing to it.
-    /// Every tracked line appears in exactly one bucket.
-    buckets: Vec<Vec<LineAddr>>,
+    /// Inverted bank-0 index over exactly the tracked lines.
+    sig_index: SigIndex,
 }
 
 /// Number of hash shards the per-module line map is split over.
@@ -92,30 +91,17 @@ impl DirectoryState {
     pub fn with_signature_config(cfg: SignatureConfig) -> Self {
         DirectoryState {
             lines: std::array::from_fn(|_| FxHashMap::default()),
-            sig_cfg: cfg,
-            buckets: vec![Vec::new(); cfg.bits_per_bank() as usize],
+            sig_index: SigIndex::new(cfg),
         }
-    }
-
-    #[inline]
-    fn bucket_of(&self, line: LineAddr) -> usize {
-        bank_hash(line.as_u64(), 0, self.sig_cfg.bits_per_bank()) as usize
-    }
-
-    /// Whether the inverted index can serve expansions of `wsig`.
-    #[inline]
-    fn indexed_for(&self, wsig: &Signature) -> bool {
-        wsig.config() == self.sig_cfg
     }
 
     /// The tracked entry for `line`, registering it in the inverted index
     /// when first seen.
     fn tracked_entry(&mut self, line: LineAddr) -> &mut LineDirInfo {
-        let bucket = self.bucket_of(line);
         match self.lines[shard_of(line)].entry(line) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                self.buckets[bucket].push(line);
+                self.sig_index.insert(line);
                 e.insert(LineDirInfo::default())
             }
         }
@@ -156,11 +142,6 @@ impl DirectoryState {
         self.lookup(line).and_then(|i| i.owner)
     }
 
-    /// Full info for `line`, if tracked.
-    pub fn info(&self, line: LineAddr) -> Option<LineDirInfo> {
-        self.lookup(line).cloned()
-    }
-
     /// Expands `wsig` against the tracked lines and returns the union of
     /// sharers of every matching line, excluding `committer`. This is the
     /// directory-local `inval_vec` computation of §3.2.1 — performed by all
@@ -168,27 +149,11 @@ impl DirectoryState {
     /// arrives, before the `g` message shows up.
     pub fn sharers_matching(&self, wsig: &Signature, committer: CoreId) -> CoreSet {
         let mut set = CoreSet::empty();
-        let mut visit = |info: &LineDirInfo| {
+        for line in self.sig_index.matching(wsig) {
+            let info = &self.lines[shard_of(line)][&line];
             set.union_with(&info.sharers);
             if let Some(o) = info.owner {
                 set.insert(o);
-            }
-        };
-        if self.indexed_for(wsig) {
-            for bit in wsig.bank_set_bits(0) {
-                for line in &self.buckets[bit as usize] {
-                    if wsig.test(line.as_u64()) {
-                        visit(&self.lines[shard_of(*line)][line]);
-                    }
-                }
-            }
-        } else {
-            for shard in &self.lines {
-                for (line, info) in shard {
-                    if wsig.test(line.as_u64()) {
-                        visit(info);
-                    }
-                }
             }
         }
         set.remove(committer);
@@ -196,22 +161,9 @@ impl DirectoryState {
     }
 
     /// The tracked lines matching `wsig` (signature expansion against the
-    /// directory's tag array).
+    /// directory's tag array), sorted.
     pub fn lines_matching(&self, wsig: &Signature) -> Vec<LineAddr> {
-        let mut v: Vec<LineAddr> = if self.indexed_for(wsig) {
-            wsig.bank_set_bits(0)
-                .flat_map(|bit| self.buckets[bit as usize].iter())
-                .filter(|l| wsig.test(l.as_u64()))
-                .copied()
-                .collect()
-        } else {
-            self.lines
-                .iter()
-                .flat_map(|shard| shard.keys())
-                .filter(|l| wsig.test(l.as_u64()))
-                .copied()
-                .collect()
-        };
+        let mut v: Vec<LineAddr> = self.sig_index.matching(wsig).collect();
         v.sort_unstable();
         v
     }
@@ -221,29 +173,13 @@ impl DirectoryState {
     /// Returns the number of lines updated.
     pub fn apply_commit(&mut self, wsig: &Signature, committer: CoreId) -> u32 {
         let mut n = 0;
-        if self.indexed_for(wsig) {
-            for bit in wsig.bank_set_bits(0) {
-                for line in &self.buckets[bit as usize] {
-                    if wsig.test(line.as_u64()) {
-                        let info = self.lines[shard_of(*line)]
-                            .get_mut(line)
-                            .expect("index tracks line");
-                        info.sharers = CoreSet::single(committer);
-                        info.owner = Some(committer);
-                        n += 1;
-                    }
-                }
-            }
-        } else {
-            for shard in self.lines.iter_mut() {
-                for (line, info) in shard.iter_mut() {
-                    if wsig.test(line.as_u64()) {
-                        info.sharers = CoreSet::single(committer);
-                        info.owner = Some(committer);
-                        n += 1;
-                    }
-                }
-            }
+        for line in self.sig_index.matching(wsig) {
+            let info = self.lines[shard_of(line)]
+                .get_mut(&line)
+                .expect("index tracks line");
+            info.sharers = CoreSet::single(committer);
+            info.owner = Some(committer);
+            n += 1;
         }
         n
     }
@@ -259,7 +195,6 @@ impl DirectoryState {
     /// Removes `core` from the sharers of `line` (cache eviction /
     /// invalidation acknowledgement).
     pub fn drop_sharer(&mut self, line: LineAddr, core: CoreId) {
-        let bucket = self.bucket_of(line);
         let shard = &mut self.lines[shard_of(line)];
         if let Some(info) = shard.get_mut(&line) {
             info.sharers.remove(core);
@@ -268,9 +203,7 @@ impl DirectoryState {
             }
             if info.sharers.is_empty() && info.owner.is_none() && !info.resident {
                 shard.remove(&line);
-                let b = &mut self.buckets[bucket];
-                let pos = b.iter().position(|&l| l == line).expect("indexed line");
-                b.swap_remove(pos);
+                self.sig_index.remove(line);
             }
         }
     }
@@ -369,7 +302,7 @@ mod tests {
         d.drop_sharer(LineAddr(1), CoreId(0));
         assert!(d.is_empty());
         // The inverted index is garbage-collected with the line.
-        assert!(d.buckets.iter().all(|b| b.is_empty()));
+        assert_eq!(d.sig_index.check_bucket_placement(), 0);
         // Dropping an untracked line is a no-op.
         d.drop_sharer(LineAddr(2), CoreId(0));
     }
@@ -421,14 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_geometry_falls_back_to_full_scan() {
+    #[should_panic(expected = "geometry differs")]
+    fn mismatched_geometry_panics() {
         let mut d = DirectoryState::new(); // indexed for paper_default
         d.record_read(LineAddr(42), CoreId(2));
         let other = Signature::from_lines(SignatureConfig::new(1024, 4), [42u64]);
-        let s = d.sharers_matching(&other, CoreId(0));
-        assert!(s.contains(CoreId(2)), "fallback scan must still expand");
-        assert_eq!(d.lines_matching(&other), vec![LineAddr(42)]);
-        assert_eq!(d.apply_commit(&other, CoreId(5)), 1);
-        assert_eq!(d.owner_of(LineAddr(42)), Some(CoreId(5)));
+        d.sharers_matching(&other, CoreId(0));
     }
 }

@@ -49,8 +49,8 @@ impl Default for CacheHierarchyConfig {
 }
 
 /// A private write-through L1 backed by a private write-back L2, as in
-/// Table 2. The L1 is write-through, so dirtiness is tracked in the L2;
-/// inclusive fills install the line in both levels.
+/// Table 2. Both levels model presence only; inclusive fills install the
+/// line in both levels.
 ///
 /// # Examples
 ///
@@ -96,34 +96,34 @@ impl CacheHierarchy {
     /// machine are locally buffered and do not change coherence state, so
     /// presence is what matters). L2 hits refill L1.
     pub fn access(&mut self, line: LineAddr) -> HitLevel {
-        if self.l1.access(line, false) {
+        if self.l1.access(line) {
             return HitLevel::L1;
         }
-        if self.l2.access(line, false) {
+        if self.l2.access(line) {
             // Inclusive refill of the L1.
-            self.l1.fill(line, false);
+            self.l1.fill(line);
             return HitLevel::L2;
         }
         HitLevel::Miss
     }
 
-    /// Marks a resident line as locally written (dirtiness lives in the
-    /// write-back L2; the write-through L1 just keeps presence).
+    /// Records a local write to `line`: touches it in the L2 (allocating
+    /// it there if absent) and makes sure the L1 holds it too.
     pub fn mark_written(&mut self, line: LineAddr) {
         if self.l2.contains(line) {
-            self.l2.access(line, true);
+            self.l2.access(line);
         } else {
-            self.l2.fill(line, true);
+            self.l2.fill(line);
         }
         if !self.l1.contains(line) {
-            self.l1.fill(line, false);
+            self.l1.fill(line);
         }
     }
 
     /// Installs a line fetched from the network/memory into both levels.
     pub fn fill(&mut self, line: LineAddr) {
-        self.l2.fill(line, false);
-        self.l1.fill(line, false);
+        self.l2.fill(line);
+        self.l1.fill(line);
     }
 
     /// Invalidates one line from both levels; returns whether it was
@@ -159,20 +159,6 @@ impl CacheHierarchy {
     /// Whether the line is resident at any level.
     pub fn contains(&self, line: LineAddr) -> bool {
         self.l1.contains(line) || self.l2.contains(line)
-    }
-
-    /// Round-trip latency in cycles for a hit at `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with [`HitLevel::Miss`] — miss latency depends on
-    /// the network and home directory, which this crate does not know.
-    pub fn hit_latency(&self, level: HitLevel) -> u64 {
-        match level {
-            HitLevel::L1 => self.cfg.l1_round_trip,
-            HitLevel::L2 => self.cfg.l2_round_trip,
-            HitLevel::Miss => panic!("miss latency is decided by the network layer"),
-        }
     }
 
     /// The L1 model (read-only view).
@@ -218,8 +204,6 @@ mod tests {
         assert_eq!(h.access(LineAddr(1)), HitLevel::Miss);
         h.fill(LineAddr(1));
         assert_eq!(h.access(LineAddr(1)), HitLevel::L1);
-        assert_eq!(h.hit_latency(HitLevel::L1), 2);
-        assert_eq!(h.hit_latency(HitLevel::L2), 8);
     }
 
     #[test]
@@ -238,14 +222,20 @@ mod tests {
     }
 
     #[test]
-    fn mark_written_dirties_l2() {
+    fn mark_written_touches_or_allocates() {
         let mut h = small();
-        h.fill(LineAddr(7));
+        // Lines 7, 11, 15, 19 and 23 share one 4-way L2 set.
+        for l in [7, 11, 15, 19] {
+            h.fill(LineAddr(l));
+        }
+        // The write touches 7 in L2, so 11 becomes the LRU way.
         h.mark_written(LineAddr(7));
-        assert_eq!(h.l2().is_dirty(LineAddr(7)), Some(true));
-        // Write to a non-resident line allocates it dirty in L2.
+        h.fill(LineAddr(23));
+        assert!(h.l2().contains(LineAddr(7)));
+        assert!(!h.l2().contains(LineAddr(11)));
+        // A write to a non-resident line allocates it in both levels.
         h.mark_written(LineAddr(9));
-        assert_eq!(h.l2().is_dirty(LineAddr(9)), Some(true));
+        assert!(h.l2().contains(LineAddr(9)));
         assert!(h.l1().contains(LineAddr(9)));
     }
 
@@ -273,11 +263,5 @@ mod tests {
         assert!(!h.contains(LineAddr(3)));
         assert!(!h.contains(LineAddr(5)));
         assert!(h.contains(LineAddr(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "network layer")]
-    fn miss_latency_panics() {
-        small().hit_latency(HitLevel::Miss);
     }
 }

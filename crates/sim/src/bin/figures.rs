@@ -46,6 +46,7 @@
 //! machine, and the dominant critical-path segment per cell — the
 //! evidence behind EXPERIMENTS.md's scaling-cliff section.
 
+use sb_net::Topology;
 use sb_sim::experiments::{self, Sweep};
 use sb_workloads::{AppProfile, Suite};
 
@@ -229,7 +230,11 @@ fn main() {
                 i += 1;
                 scaling_fabrics = args
                     .get(i)
-                    .map(|v| v.split(',').map(|f| f.trim().to_string()).collect())
+                    .and_then(|v| {
+                        v.split(',')
+                            .map(|f| Topology::by_name(f.trim(), 64).map(|_| f.trim().to_string()))
+                            .collect()
+                    })
                     .unwrap_or_else(|| usage());
             }
             id => ids.push(id.to_string()),

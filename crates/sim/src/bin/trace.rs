@@ -75,7 +75,7 @@ fn main() {
                 i += 1;
                 cores = args
                     .get(i)
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| v.parse::<u16>().ok().filter(|&c| c >= 1))
                     .unwrap_or_else(|| usage());
             }
             "--app" => {

@@ -30,8 +30,7 @@ use std::collections::BTreeMap;
 
 use sb_obs::json::JsonValue;
 
-/// A set of aligned fixed-window counters over simulated cycles (see the
-/// [module docs](self)).
+/// A set of aligned fixed-window counters over simulated cycles.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimeSeries {
     window: u64,
